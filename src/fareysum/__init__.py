@@ -22,13 +22,7 @@ from .counting import (
     verify_theorem2,
     write_sweep_csv,
 )
-from .dedekind import (
-    DedekindValue,
-    dedekind_fast,
-    dedekind_naive,
-    normalized,
-    sawtooth,
-)
+from .dedekind import dedekind_fast, dedekind_naive, sawtooth
 from .farey import (
     FareyContext,
     FareyPoint,

@@ -7,13 +7,15 @@ Subcommands:
   scan             deviation scan over a range of b, with CSV/JSON reports
   example          the built-in worked example (b=31537789, n=12)
 
-Exit codes: 0 success, 1 invalid arguments, 2 verification failure.
+Exit codes: 0 success, 1 invalid arguments or an unwritable report path,
+2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import counting, experiments, knopp
@@ -93,10 +95,18 @@ def _cmd_sum(args) -> int:
     return EXIT_OK
 
 
+def _require_directory(path: str | None) -> None:
+    """Refuse an output path whose directory is missing, before any work starts."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"cannot write {path}: no such directory {directory}")
+
+
 def _term_rows(dec) -> list[dict]:
     rows = []
-    for t in dec.terms:
-        deviation = None if t.expected == 0 else abs(t.sum_value / t.expected - 1)
+    for t, (_, _, _, deviation) in zip(dec.terms, knopp.deviation_profile(dec)):
         rows.append(
             {
                 "r": t.r,
@@ -109,7 +119,7 @@ def _term_rows(dec) -> list[dict]:
                 "d_prime": t.reduced[3],
                 "sum_value": format_decimal(t.sum_value),
                 "expected": format_decimal(t.expected),
-                "deviation": None if deviation is None else format_decimal(deviation),
+                "deviation": format_decimal(deviation),
             }
         )
     return rows
@@ -131,14 +141,14 @@ def _cmd_decompose(args) -> int:
     header = f"{'r':>5} {'j':>5} {'k':>5} {'m':>5} {'a_prime':>12} {'b_prime':>14} {'c_prime':>8} {'d_prime':>8} {'S[r,j]':>18} {'E[r,j]':>18} {'deviation':>14}"
     print(header)
     for row in rows:
-        dev = row["deviation"] if row["deviation"] is not None else "-"
         print(f"{row['r']:>5} {row['j']:>5} {row['k']:>5} {row['m']:>5} "
               f"{row['a_prime']:>12} {row['b_prime']:>14} {row['c_prime']:>8} {row['d_prime']:>8} "
-              f"{row['sum_value']:>18} {row['expected']:>18} {dev:>14}")
+              f"{row['sum_value']:>18} {row['expected']:>18} {row['deviation']:>14}")
     return EXIT_OK
 
 
 def _cmd_verify_counting(args) -> int:
+    _require_directory(args.csv)
     report = counting.verify_theorem2(args.max_n, args.max_d, jobs=args.jobs)
     if args.csv:
         counting.write_sweep_csv(args.csv, counting.sweep_rows(args.max_n, args.max_d))
@@ -162,6 +172,8 @@ def _cmd_scan(args) -> int:
         b_mode=experiments.B_MODE_RANDOM if args.random else experiments.B_MODE_CONSECUTIVE,
         rng_seed=args.seed,
     )
+    _require_directory(args.csv)
+    _require_directory(args.json)
     report = experiments.run_scan(config, jobs=args.jobs)
     if args.csv:
         experiments.write_scan_csv(report, args.csv)
@@ -215,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"fareysum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

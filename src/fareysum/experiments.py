@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .farey import satisfies_theorem1_premises
 from .knopp import Decomposition, decompose, deviation_profile
@@ -182,6 +182,13 @@ def select_neighbour(b: int, c: int, d: int, n: int) -> tuple[int | None, str]:
     return None, (RULED_OUT_PREMISES if saw_coprime else RULED_OUT_GCD)
 
 
+def _integer_sum(values: list[Fraction]) -> tuple[int, int]:
+    """(numerator, denominator) of the sum, over the lcm of the denominators;
+    left unreduced so the caller builds a single `Fraction`."""
+    den = lcm(*(v.denominator for v in values))
+    return sum(v.numerator * (den // v.denominator) for v in values), den
+
+
 def mean_deviations(dec: Decomposition) -> tuple[Fraction, Fraction]:
     """(M1, M2): mean deviation over all sigma(n) terms / over the n terms with m = 1."""
     devs = deviation_profile(dec)
@@ -190,9 +197,9 @@ def mean_deviations(dec: Decomposition) -> tuple[Fraction, Fraction]:
         raise ValueError(
             f"{len(ones)} terms have m = 1, expected exactly n = {dec.n}"
         )
-    m1 = sum((v for (_, _, _, v) in devs), Fraction(0)) / sigma(dec.n)
-    m2 = sum(ones, Fraction(0)) / dec.n
-    return m1, m2
+    num1, den1 = _integer_sum([v for (_, _, _, v) in devs])
+    num2, den2 = _integer_sum(ones)
+    return Fraction(num1, den1 * sigma(dec.n)), Fraction(num2, den2 * dec.n)
 
 
 def scan_b_values(config: ExperimentConfig) -> list[int]:

@@ -81,6 +81,7 @@ def decompose(
             raise PremiseError(failure)
     base_sum = 12 * dedekind_fast(a, b)
     base_expected = Fraction(b, d * q)
+    ndq = n * d * q
     terms = []
     for r in divisors(n):
         nr = n // r
@@ -93,7 +94,7 @@ def decompose(
             m = gcd(num_c, rd)
             reduced = (num_a // k, rb // k, num_c // m, rd // m)
             sum_value = 12 * dedekind_fast(num_a, rb)
-            expected = Fraction(m * m, n) * base_expected
+            expected = Fraction(m * m * b, ndq)
             q_prime = reduced[0] * reduced[3] - reduced[1] * reduced[2]
             terms.append(KnoppTerm(r, j, k, m, reduced, sum_value, expected, q_prime))
     return Decomposition(n, a, b, c, d, q, base_sum, base_expected, tuple(terms))
@@ -118,12 +119,21 @@ def verify_identity(dec: Decomposition) -> bool:
 
 
 def deviation_profile(dec: Decomposition) -> list[tuple[int, int, int, Fraction]]:
-    """Per-term (r, j, m, |S[r,j]/E[r,j] - 1|), in the decomposition's order."""
+    """Per-term (r, j, m, |S[r,j]/E[r,j] - 1|), in the decomposition's order.
+
+    With S = s/s' and E = e/e', the deviation is |s e' - s' e| / |s' e|,
+    built as one `Fraction` straight from those integers.
+    """
     out = []
     for t in dec.terms:
-        if t.expected == 0:
+        s, e = t.sum_value, t.expected
+        if not e:
             raise ValueError(f"expected value is zero at (r={t.r}, j={t.j})")
-        out.append((t.r, t.j, t.m, abs(t.sum_value / t.expected - 1)))
+        deviation = Fraction(
+            abs(s.numerator * e.denominator - s.denominator * e.numerator),
+            abs(s.denominator * e.numerator),
+        )
+        out.append((t.r, t.j, t.m, deviation))
     return out
 
 

@@ -72,6 +72,25 @@ class TestVerifyCounting:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["ok"] == "1" for r in rows)
 
+    def test_missing_csv_directory_fails_before_sweeping(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli.counting, "verify_theorem2", refuse)
+        path = tmp_path / "missing" / "rows.csv"
+        code, _, err = run(capsys, "verify-counting", "--max-n", "5", "--max-d", "5",
+                           "--csv", str(path))
+        assert code == 1
+        assert err.startswith("fareysum: error:")
+        assert "Traceback" not in err
+
+    def test_unwritable_csv_is_exit_one(self, capsys, tmp_path):
+        # the directory exists, but the path itself is a directory
+        code, _, err = run(capsys, "verify-counting", "--max-n", "5", "--max-d", "5",
+                           "--csv", str(tmp_path))
+        assert code == 1
+        assert err.startswith("fareysum: error:")
+
     def test_violations_exit_two(self, capsys, monkeypatch):
         from fareysum.counting import SweepReport, SweepRow
 
@@ -108,6 +127,29 @@ class TestScan:
             )
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_missing_report_directory_fails_before_scanning(self, capsys, tmp_path, monkeypatch, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan must not start")
+
+        monkeypatch.setattr(cli.experiments, "run_scan", refuse)
+        code, _, err = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1",
+            "--b-start", "100000001", "--b-count", "5",
+            flag, str(tmp_path / "missing" / "report"),
+        )
+        assert code == 1
+        assert err.startswith("fareysum: error:")
+        assert "missing" in err
+
+    def test_unwritable_report_is_exit_one(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1",
+            "--b-start", "100000001", "--b-count", "2", "--json", str(tmp_path),
+        )
+        assert code == 1
+        assert err.startswith("fareysum: error:")
 
     def test_bad_c_list(self, capsys):
         code, _, err = run(

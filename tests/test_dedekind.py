@@ -1,19 +1,20 @@
-"""Tests for the sawtooth function and both Dedekind sum evaluators."""
+"""Tests for the sawtooth function and the Dedekind sum evaluators.
+
+Three independent routes to s(a, b) are compared: the direct summation
+`dedekind_naive`, the integer continued-fraction form `dedekind_fast`, and
+the rational reciprocity chain `dedekind_reciprocity` kept here as a
+reference.
+"""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fareysum.dedekind import (
-    DedekindValue,
-    dedekind_fast,
-    dedekind_naive,
-    normalized,
-    sawtooth,
-)
+from fareysum.dedekind import dedekind_fast, dedekind_naive, sawtooth
 
 
 def dedekind_by_definition(a: int, b: int) -> Fraction:
@@ -22,6 +23,32 @@ def dedekind_by_definition(a: int, b: int) -> Fraction:
         (sawtooth(Fraction(k, b)) * sawtooth(Fraction(a * k, b)) for k in range(1, b + 1)),
         Fraction(0),
     )
+
+
+def dedekind_reciprocity(a: int, b: int) -> Fraction:
+    """s(a, b) in O(log b) exact rational steps down the Euclidean chain.
+
+    Imprimitive input reduces first via s(ag, bg) = s(a, b); the chain then
+    applies s(a, b) = -s(b mod a, a) - 1/4 + (a^2 + b^2 + 1)/(12ab), which
+    preserves gcd(a, b) = 1 down to the base case s(0, 1) = 0.
+    """
+    a %= b
+    if a == 0:
+        return Fraction(0)
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    total = Fraction(0)
+    sign = 1
+    while a > 0:
+        total += Fraction(sign * (a * a + b * b + 1 - 3 * a * b), 12 * a * b)
+        sign = -sign
+        a, b = b % a, a
+    return total
+
+
+def S(a: int, b: int) -> Fraction:
+    """The normalized sum S(a, b) = 12 s(a, b)."""
+    return 12 * dedekind_fast(a, b)
 
 
 class TestSawtooth:
@@ -86,14 +113,21 @@ class TestFast:
     def test_oracle_equivalence_grid(self):
         for b in range(1, 120):
             for a in range(0, b):
-                assert dedekind_fast(a, b) == dedekind_naive(a, b)
+                fast = dedekind_fast(a, b)
+                assert fast == dedekind_reciprocity(a, b) == dedekind_naive(a, b)
 
     def test_oracle_equivalence_imprimitive_and_large_a(self):
         rng = random.Random(11)
         for _ in range(300):
             b = rng.randint(1, 2000)
             a = rng.randint(-3 * b, 3 * b)
-            assert dedekind_fast(a, b) == dedekind_naive(a, b)
+            fast = dedekind_fast(a, b)
+            assert fast == dedekind_reciprocity(a, b) == dedekind_naive(a, b)
+
+    def test_rejects_nonpositive_modulus(self):
+        for b in (0, -1, -(2 ** 70)):
+            with pytest.raises(ValueError):
+                dedekind_fast(1, b)
 
     def test_periodicity_randomized(self):
         rng = random.Random(5)
@@ -107,15 +141,51 @@ class TestFast:
         assert abs(float(s) - 25573.432) < 0.001
 
 
+class TestThreeRoutes:
+    """dedekind_fast, dedekind_reciprocity and dedekind_naive agree exactly."""
+
+    @given(st.integers(1, 2000), st.integers(-10 ** 4, 10 ** 4))
+    def test_small_moduli(self, b, a):
+        fast = dedekind_fast(a, b)
+        assert fast == dedekind_reciprocity(a, b) == dedekind_naive(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 2 ** 256),
+        st.integers(-(2 ** 258), 2 ** 258),
+        st.integers(1, 10 ** 6),
+    )
+    def test_large_moduli_negative_and_imprimitive(self, b, a, g):
+        assert dedekind_fast(a, b) == dedekind_reciprocity(a, b)
+        assert dedekind_fast(a * g, b * g) == dedekind_reciprocity(a * g, b * g)
+        assert dedekind_fast(a * g, b * g) == dedekind_fast(a, b)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 2 ** 256), st.integers(1, 2 ** 256))
+    def test_reciprocity_law(self, a, b):
+        assume(gcd(a, b) == 1)
+        lhs = dedekind_fast(a, b) + dedekind_fast(b, a)
+        assert lhs == Fraction(a * a + b * b + 1, 12 * a * b) - Fraction(1, 4)
+
+    @given(st.integers(-(2 ** 256), 2 ** 256))
+    def test_modulus_one(self, a):
+        assert dedekind_fast(a, 1) == dedekind_reciprocity(a, 1) == 0
+        assert dedekind_naive(a, 1) == 0
+
+    @given(st.integers(1, 2 ** 256), st.integers(-(2 ** 64), 2 ** 64))
+    def test_multiple_of_modulus(self, b, k):
+        assert dedekind_fast(k * b, b) == dedekind_reciprocity(k * b, b) == 0
+
+
 class TestNormalized:
     def test_third(self):
-        assert normalized(1, 3).value == Fraction(2, 3)
+        assert S(1, 3) == Fraction(2, 3)
 
     def test_zero_numerator(self):
-        assert normalized(0, 5).value == 0
+        assert S(0, 5) == 0
 
     def test_scaling_invariance_small(self):
-        assert normalized(2, 6).value == normalized(1, 3).value == Fraction(2, 3)
+        assert S(2, 6) == S(1, 3) == Fraction(2, 3)
 
     def test_scaling_invariance_randomized(self):
         rng = random.Random(17)
@@ -123,23 +193,17 @@ class TestNormalized:
             b = rng.randint(1, 500)
             a = rng.randint(0, b)
             d = rng.randint(1, 50)
-            assert normalized(a * d, b * d).value == normalized(a, b).value
+            assert S(a * d, b * d) == S(a, b)
 
     def test_denominator_divides_b(self):
         rng = random.Random(23)
         for _ in range(300):
             b = rng.randint(1, 5000)
             a = rng.randint(0, b)
-            assert b % normalized(a, b).value.denominator == 0
+            assert b % S(a, b).denominator == 0
 
     def test_rademacher_bound(self):
-        from math import gcd
         for d in range(2, 501):
             for c in range(1, d):
                 if gcd(c, d) == 1:
-                    assert abs(normalized(c, d).value) < d
-
-    def test_carries_arguments(self):
-        v = normalized(2, 6)
-        assert isinstance(v, DedekindValue)
-        assert (v.a, v.b) == (2, 6)
+                    assert abs(S(c, d)) < d

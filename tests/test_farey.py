@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import draw_context
-from fareysum.dedekind import normalized
+from fareysum.dedekind import dedekind_fast
 from fareysum.farey import (
     FareyContext,
     FareyPoint,
@@ -92,7 +92,7 @@ class TestIsFareyNeighbour:
         for _ in range(120):
             b, c, d, a = draw_context(rng, 100, 10 ** 6)
             assert is_farey_neighbour(b, c, d, a)
-            assert normalized(a, b).value > 0
+            assert 12 * dedekind_fast(a, b) > 0
 
 
 class TestFareyContext:

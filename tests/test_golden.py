@@ -1,0 +1,51 @@
+"""Reports checked byte for byte against committed golden files.
+
+The files under tests/golden/ were written by an earlier build; any change
+to the value or the rendering of a single record shows up here, which a
+comparison of two runs of the same build cannot catch.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from fareysum import cli
+from fareysum.experiments import (
+    B_MODE_RANDOM,
+    ExperimentConfig,
+    run_scan,
+    write_scan_csv,
+    write_scan_json,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SCANS = {
+    # one 50-b consecutive window of the table config at 1e8
+    "scan_1e8_w50": ExperimentConfig(
+        n=12, d=9, c_list=(1, 2, 4, 5, 7, 8), b_start=10 ** 8 + 1, b_count=50,
+    ),
+    # the acceptance suite's determinism (criterion 9) config
+    "criterion9_random": ExperimentConfig(
+        n=12, d=9, c_list=(1, 2), b_start=10 ** 7 + 19, b_count=40,
+        b_mode=B_MODE_RANDOM, rng_seed=20250809,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_scan_reports_match_golden(name, tmp_path):
+    report = run_scan(SCANS[name])
+    csv_path = tmp_path / "report.csv"
+    json_path = tmp_path / "report.json"
+    write_scan_csv(report, str(csv_path))
+    write_scan_json(report, str(json_path))
+    assert csv_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+    assert json_path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_decompose_json_matches_golden(capsys):
+    code = cli.main(["decompose", "3504214", "31537789", "1", "9", "12", "--json"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "decompose_example.json").read_bytes()
