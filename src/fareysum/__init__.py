@@ -38,7 +38,6 @@ from .knopp import (
     Decomposition,
     KnoppTerm,
     decompose,
-    decompose_context,
     deviation_profile,
     identity_discrepancy,
     three_term_residual,
@@ -59,15 +58,12 @@ from .experiments import (
     write_scan_json,
 )
 from .numtheory import (
-    ExactRational,
     FactoredNat,
     d_free_part,
     d_part,
     divisors,
     euler_phi,
     factorize,
-    gcd,
-    isqrt,
     sigma,
     v_p,
 )

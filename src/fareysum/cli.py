@@ -8,7 +8,9 @@ Subcommands:
   example          the built-in worked example (b=31537789, n=12)
 
 Exit codes: 0 success, 1 invalid arguments or an unwritable report path,
-2 verification failure.
+2 verification failure.  Report paths are checked before any work starts,
+and reports are written to temp files that replace their targets only once
+all of them are complete, so a failed run leaves no partial report set.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager, suppress
 
 from . import counting, experiments, knopp
 from .dedekind import dedekind_fast
@@ -95,13 +98,46 @@ def _cmd_sum(args) -> int:
     return EXIT_OK
 
 
-def _require_directory(path: str | None) -> None:
-    """Refuse an output path whose directory is missing, before any work starts."""
-    if path is None:
-        return
+def _check_report_path(path: str) -> None:
+    """Refuse a report path that cannot be written, before any work starts."""
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"cannot write {path}: no such directory {directory}")
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+
+
+def _reserve_temp(path: str) -> str:
+    """Create an empty temp file beside `path`, which also shows that its
+    directory is writable; return its name."""
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    open(temp, "x").close()
+    return temp
+
+
+@contextmanager
+def _atomic_reports(*paths: str | None):
+    """Yield one temp path per report path (None for None).  Every path is
+    checked first; the temp files replace their targets only after the body
+    has written them all, and are removed if it fails, so a run leaves
+    either every report or none."""
+    for path in paths:
+        if path is not None:
+            _check_report_path(path)
+    temps: list[str | None] = []
+    try:
+        for path in paths:
+            temps.append(None if path is None else _reserve_temp(path))
+        yield temps
+        for path, temp in zip(paths, temps):
+            if temp is not None:
+                os.replace(temp, path)
+    finally:
+        for temp in temps:
+            if temp is not None:
+                with suppress(FileNotFoundError):
+                    os.remove(temp)
 
 
 def _term_rows(dec) -> list[dict]:
@@ -148,10 +184,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify_counting(args) -> int:
-    _require_directory(args.csv)
-    report = counting.verify_theorem2(args.max_n, args.max_d, jobs=args.jobs)
+    with _atomic_reports(args.csv) as (csv_temp,):
+        report = counting.verify_theorem2(args.max_n, args.max_d, jobs=args.jobs,
+                                          csv_path=csv_temp)
     if args.csv:
-        counting.write_sweep_csv(args.csv, counting.sweep_rows(args.max_n, args.max_d))
         print(f"wrote {args.csv}")
     print(f"checked {report.rows_checked} (n, m, d, c) cells "
           f"up to n={report.max_n}, d={report.max_d}: "
@@ -172,15 +208,15 @@ def _cmd_scan(args) -> int:
         b_mode=experiments.B_MODE_RANDOM if args.random else experiments.B_MODE_CONSECUTIVE,
         rng_seed=args.seed,
     )
-    _require_directory(args.csv)
-    _require_directory(args.json)
-    report = experiments.run_scan(config, jobs=args.jobs)
-    if args.csv:
-        experiments.write_scan_csv(report, args.csv)
-        print(f"wrote {args.csv}")
-    if args.json:
-        experiments.write_scan_json(report, args.json)
-        print(f"wrote {args.json}")
+    with _atomic_reports(args.csv, args.json) as (csv_temp, json_temp):
+        report = experiments.run_scan(config, jobs=args.jobs)
+        if csv_temp:
+            experiments.write_scan_csv(report, csv_temp)
+        if json_temp:
+            experiments.write_scan_json(report, json_temp)
+    for path in (args.csv, args.json):
+        if path:
+            print(f"wrote {path}")
     print(f"{'c':>4} {'retained':>9} {'ruled_out':>10} "
           f"{'M1>=' + str(float(config.t1_hi)):>10} {'M1<' + str(float(config.t1_lo)):>10} "
           f"{'M2>=' + str(float(config.t2_hi)):>10} {'M2<' + str(float(config.t2_lo)):>10}")

@@ -18,10 +18,12 @@ import csv
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .numtheory import d_part, divisors, euler_phi
+from .pool import worker_count
 
 BRUTE_LIMIT = 10 ** 4
 SWEEP_MAX_N_DEFAULT = 200
@@ -71,12 +73,10 @@ def lemma1_count(r: int, d: int, s: int) -> int:
 
 def multiplicity_histogram(n: int, c: int, d: int) -> Counter:
     """Tally of m(r, j) over all r | n, 0 <= j < r (sigma(n) pairs in total)."""
-    counts: Counter = Counter()
-    for r in divisors(n):
-        base = (n // r) * c
-        rd = r * d
-        counts.update(gcd(base + j * d, rd) for j in range(r))
-    return counts
+    return Counter(chain.from_iterable(
+        map(gcd, range((n // r) * c, (n // r) * c + r * d, d), repeat(r * d))
+        for r in divisors(n)
+    ))
 
 
 def count_A_brute(query: CountingQuery) -> int:
@@ -122,8 +122,7 @@ def verify_lemma3(n1: int, n2: int, m: int, c: int, d: int) -> bool:
     return whole == part1 * part2
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One (n, m, d, c) check of brute force vs formula vs n/m."""
 
     n: int
@@ -154,59 +153,83 @@ def _coprime_range(d: int) -> list[int]:
     return [c for c in range(d) if gcd(c, d) == 1]
 
 
-def _sweep_cells(n: int, max_d: int) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """(m, d, c, brute, formula, closed_form) for one n, in (d, c, m) order."""
+def _n_rows(n: int, max_d: int) -> Iterator[SweepRow]:
+    """The check rows of one n, in (d, c, m) order."""
     divs = divisors(n)
     for d in range(1, max_d + 1):
         cs = _coprime_range(d)
         # the formula does not depend on c, so compute it once per (n, d, m)
-        formulas = {m: count_A_formula(CountingQuery(n, m, cs[0], d)) for m in divs}
+        expected = [(m, count_A_formula(CountingQuery(n, m, cs[0], d)), n // m) for m in divs]
         for c in cs:
             hist = multiplicity_histogram(n, c, d)
-            for m in divs:
-                yield m, d, c, hist[m], formulas[m], n // m
+            for m, formula, closed in expected:
+                brute = hist[m]
+                yield SweepRow(n, m, d, c, brute, formula, closed, brute == formula == closed)
 
 
-def sweep_rows(max_n: int, max_d: int) -> Iterator[SweepRow]:
-    """Every check row, ordered by (n, d, c, m)."""
-    for n in range(1, max_n + 1):
-        for m, d, c, brute, formula, closed in _sweep_cells(n, max_d):
-            yield SweepRow(n, m, d, c, brute, formula, closed, brute == formula == closed)
+def _n_block(n: int, max_d: int) -> list[tuple]:
+    """The rows of one n as plain tuples, which cross a process pool far
+    more cheaply than `SweepRow`s."""
+    return [tuple(row) for row in _n_rows(n, max_d)]
 
 
-def _sweep_worker(args: tuple[int, int]) -> tuple[int, list[SweepRow]]:
-    n, max_d = args
-    checked = 0
-    bad = []
-    for m, d, c, brute, formula, closed in _sweep_cells(n, max_d):
-        checked += 1
-        if not brute == formula == closed:
-            bad.append(SweepRow(n, m, d, c, brute, formula, closed, False))
-    return checked, bad
+def _collect_violations(rows: Iterable[SweepRow], violations: list[SweepRow]) -> Iterator[SweepRow]:
+    """Pass rows on unchanged, appending each failed one to `violations`."""
+    for row in rows:
+        if not row.ok:
+            violations.append(row)
+        yield row
+
+
+def _n_tally(n: int, max_d: int) -> tuple[int, list[SweepRow]]:
+    """(rows checked, violations) of one n."""
+    violations: list[SweepRow] = []
+    checked = sum(1 for _ in _collect_violations(_n_rows(n, max_d), violations))
+    return checked, violations
+
+
+def _over_n(fn, max_n: int, max_d: int, workers: int) -> Iterator:
+    """fn(n, max_d) for n = 1, ..., max_n in order, over a process pool
+    when workers > 1."""
+    ns = range(1, max_n + 1)
+    if workers == 1:
+        yield from map(fn, ns, repeat(max_d))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, ns, repeat(max_d), chunksize=8)
+
+
+def sweep_rows(max_n: int, max_d: int, jobs: int = 1) -> Iterator[SweepRow]:
+    """Every check row, ordered by (n, d, c, m).  With jobs > 1 the values
+    of n are spread over a process pool and their rows come back in order."""
+    workers = worker_count(jobs, max_n)
+    if workers == 1:
+        return chain.from_iterable(_over_n(_n_rows, max_n, max_d, 1))
+    blocks = _over_n(_n_block, max_n, max_d, workers)
+    return chain.from_iterable(map(SweepRow._make, block) for block in blocks)
 
 
 def verify_theorem2(
     max_n: int = SWEEP_MAX_N_DEFAULT,
     max_d: int = SWEEP_MAX_D_DEFAULT,
     jobs: int = 1,
+    csv_path: str | None = None,
 ) -> SweepReport:
     """Cross-check brute = formula = n/m over all n <= max_n, m | n, d <= max_d,
-    c in [0, d) prime to d.  Violations are collected in (n, d, c, m) order.
+    c in [0, d) prime to d, in one pass.  Violations are collected in
+    (n, d, c, m) order.  With `csv_path`, every row of `sweep_rows` is
+    streamed to that CSV as it is tallied; without it, a pool ships only
+    each n's count and violations.
     """
     if max_n < 1 or max_d < 1:
         raise ValueError("sweep bounds must be positive")
-    checked = 0
     violations: list[SweepRow] = []
-    tasks = [(n, max_d) for n in range(1, max_n + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_sweep_worker, tasks, chunksize=8)
-            for count, bad in results:
-                checked += count
-                violations.extend(bad)
+    if csv_path is not None:
+        rows = _collect_violations(sweep_rows(max_n, max_d, jobs), violations)
+        checked = write_sweep_csv(csv_path, rows)
     else:
-        for task in tasks:
-            count, bad = _sweep_worker(task)
+        checked = 0
+        for count, bad in _over_n(_n_tally, max_n, max_d, worker_count(jobs, max_n)):
             checked += count
             violations.extend(bad)
     return SweepReport(max_n, max_d, checked, tuple(violations))
@@ -222,8 +245,6 @@ def write_sweep_csv(path: str, rows: Iterable[SweepRow]) -> int:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_HEADER)
         for row in rows:
-            writer.writerow(
-                [row.n, row.m, row.d, row.c, row.brute, row.formula, row.closed_form, int(row.ok)]
-            )
+            writer.writerow((*row[:7], int(row.ok)))
             written += 1
     return written

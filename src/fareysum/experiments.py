@@ -24,6 +24,7 @@ from math import gcd, isqrt, lcm
 from .farey import satisfies_theorem1_premises
 from .knopp import Decomposition, decompose, deviation_profile
 from .numtheory import sigma
+from .pool import worker_count
 
 GENERATOR_ID = "splitmix64"
 
@@ -248,9 +249,10 @@ def run_scan(config: ExperimentConfig, jobs: int = 1) -> ScanReport:
     order whatever the execution schedule, so reports are deterministic."""
     bs = scan_b_values(config)
     cells = [(config, c, b) for c in config.c_list for b in bs]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(cells) // (8 * jobs))
+    workers = worker_count(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(cells) // (8 * workers))
             records = tuple(pool.map(_scan_cell, cells, chunksize=chunk))
     else:
         records = tuple(_scan_cell(cell) for cell in cells)

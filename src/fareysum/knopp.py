@@ -100,13 +100,6 @@ def decompose(
     return Decomposition(n, a, b, c, d, q, base_sum, base_expected, tuple(terms))
 
 
-def decompose_context(
-    ctx: FareyContext, n: int, require_theorem1: bool = False
-) -> Decomposition:
-    """Decompose a validated neighbour context."""
-    return decompose(ctx.a, ctx.b, ctx.c, ctx.d, n, require_theorem1)
-
-
 def identity_discrepancy(dec: Decomposition) -> Fraction:
     """sum of S[r, j] minus sigma(n) S(a, b); zero exactly when the identity holds."""
     total = sum((t.sum_value for t in dec.terms), Fraction(0))

@@ -1,7 +1,8 @@
 """Exact integer arithmetic and elementary multiplicative number theory.
 
-Every value here is an int, a Fraction, or a tuple of those; floating point
-never participates in a decision anywhere in the package.  Rational values
+Every value here is an int or a tuple of ints; floating point never
+participates in a decision anywhere in the package.  The rest of the
+package uses `math.gcd` and `math.isqrt` directly, and its rational values
 are `fractions.Fraction`, which keeps numerator and denominator in lowest
 terms with a positive denominator after every operation.
 """
@@ -10,26 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-
-# Exact rational value type used throughout the package.
-ExactRational = Fraction
 
 # Trial-division wheel past 2 and 3: candidates 5, 7, 11, 13, ... step 2, 4, 2, 4, ...
 _WHEEL = (2, 4)
-
-
-def gcd(x: int, y: int) -> int:
-    """Greatest common divisor of |x| and |y|; gcd(0, 0) == 0."""
-    return math.gcd(x, y)
-
-
-def isqrt(x: int) -> int:
-    """Exact floor square root: isqrt(x)**2 <= x < (isqrt(x) + 1)**2."""
-    if x < 0:
-        raise ValueError("isqrt is undefined for negative integers")
-    return math.isqrt(x)
 
 
 def v_p(t: int, p: int) -> int:

@@ -91,6 +91,64 @@ class TestVerifyCounting:
         assert code == 1
         assert err.startswith("fareysum: error:")
 
+    def test_csv_run_sweeps_once(self, capsys, tmp_path, monkeypatch):
+        # one histogram per (n, d, c): 12 * (phi(1) + ... + phi(6)) = 144
+        calls = []
+        histogram = cli.counting.multiplicity_histogram
+
+        def counted(*args):
+            calls.append(args)
+            return histogram(*args)
+
+        monkeypatch.setattr(cli.counting, "multiplicity_histogram", counted)
+        code, _, _ = run(capsys, "verify-counting", "--max-n", "12", "--max-d", "6",
+                         "--csv", str(tmp_path / "rows.csv"))
+        assert code == 0
+        assert len(calls) == 144
+
+    def test_violation_is_tallied_and_written(self, capsys, tmp_path, monkeypatch):
+        # wrong for m = 3 the first time each (n, d) asks, so a second sweep
+        # for the CSV would write rows that disagree with the tally
+        formula = cli.counting.count_A_formula
+        asked = set()
+
+        def wrong_for_m3(query):
+            first = (query.n, query.m, query.d) not in asked
+            asked.add((query.n, query.m, query.d))
+            return formula(query) + (query.m == 3 and first)
+
+        monkeypatch.setattr(cli.counting, "count_A_formula", wrong_for_m3)
+        path = tmp_path / "rows.csv"
+        code, out, _ = run(capsys, "verify-counting", "--max-n", "6", "--max-d", "2",
+                           "--csv", str(path))
+        assert code == 2
+        # n = 3, 6 and d = 1, 2 with c = 0 resp. 1: four (n, m=3, d, c) rows
+        assert out.count("VIOLATION") == 4
+        assert "VIOLATION n=3 m=3 d=1 c=0: brute=1 formula=2 n/m=1" in out
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        bad = [(r["n"], r["m"], r["d"], r["c"], r["formula"]) for r in rows if r["ok"] == "0"]
+        assert bad == [("3", "3", "1", "0", "2"), ("3", "3", "2", "1", "2"),
+                       ("6", "3", "1", "0", "3"), ("6", "3", "2", "1", "3")]
+
+    def test_failed_sweep_leaves_no_csv(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        histogram = cli.counting.multiplicity_histogram
+
+        def fails_late(*args):
+            calls.append(args)
+            if len(calls) == 20:
+                raise ValueError("histogram failed")
+            return histogram(*args)
+
+        monkeypatch.setattr(cli.counting, "multiplicity_histogram", fails_late)
+        code, out, err = run(capsys, "verify-counting", "--max-n", "12", "--max-d", "6",
+                             "--csv", str(tmp_path / "rows.csv"))
+        assert code == 1
+        assert "histogram failed" in err
+        assert "wrote" not in out
+        assert list(tmp_path.iterdir()) == []
+
     def test_violations_exit_two(self, capsys, monkeypatch):
         from fareysum.counting import SweepReport, SweepRow
 
@@ -150,6 +208,45 @@ class TestScan:
         )
         assert code == 1
         assert err.startswith("fareysum: error:")
+
+    def test_failed_report_leaves_no_report_set(self, capsys, tmp_path):
+        # the CSV could be written, the JSON path is a directory: nothing is written
+        (tmp_path / "dir.json").mkdir()
+        code, out, err = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1",
+            "--b-start", "100000001", "--b-count", "2",
+            "--csv", str(tmp_path / "ok.csv"), "--json", str(tmp_path / "dir.json"),
+        )
+        assert code == 1
+        assert err.startswith("fareysum: error:")
+        assert "wrote" not in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.json"]
+
+    def test_failed_scan_removes_temp_reports(self, capsys, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("scan failed")
+
+        monkeypatch.setattr(cli.experiments, "run_scan", fail)
+        code, _, err = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1",
+            "--b-start", "100000001", "--b-count", "2",
+            "--csv", str(tmp_path / "a.csv"), "--json", str(tmp_path / "a.json"),
+        )
+        assert code == 1
+        assert "scan failed" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reports_replace_existing_files(self, capsys, tmp_path):
+        csv_path = tmp_path / "scan.csv"
+        csv_path.write_text("stale\n")
+        code, out, _ = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1",
+            "--b-start", "100000001", "--b-count", "2", "--csv", str(csv_path),
+        )
+        assert code == 0
+        assert out.startswith(f"wrote {csv_path}\n")
+        assert csv_path.read_text().startswith("b,c,a,ruled_out,m1,m2")
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
 
     def test_bad_c_list(self, capsys):
         code, _, err = run(

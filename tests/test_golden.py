@@ -49,3 +49,15 @@ def test_decompose_json_matches_golden(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / "decompose_example.json").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_csv_and_stdout_match_golden(jobs, tmp_path, monkeypatch, capsys):
+    # a relative report path keeps the "wrote ..." line independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["verify-counting", "--max-n", "24", "--max-d", "8",
+                     "--csv", "sweep.csv", "--jobs", jobs])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "sweep_n24_d8.stdout").read_bytes()
+    assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / "sweep_n24_d8.csv").read_bytes()

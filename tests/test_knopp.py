@@ -12,7 +12,6 @@ from fareysum.dedekind import dedekind_fast
 from fareysum.farey import PremiseError, farey_context, is_farey_neighbour
 from fareysum.knopp import (
     decompose,
-    decompose_context,
     deviation_profile,
     identity_discrepancy,
     three_term_residual,
@@ -109,10 +108,6 @@ class TestDecompose:
     def test_premise_error_names_inequality(self):
         with pytest.raises(PremiseError, match="alpha"):
             decompose(9, 50, 0, 1, 12, require_theorem1=True)
-
-    def test_context_form(self):
-        ctx = farey_context(31537789, 1, 9, 3504214)
-        assert decompose_context(ctx, 12) == decompose(3504214, 31537789, 1, 9, 12)
 
     def test_rejects_degenerate_base(self):
         with pytest.raises(ValueError):
