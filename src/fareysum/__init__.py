@@ -25,7 +25,6 @@ from .counting import (
 from .dedekind import dedekind_fast, dedekind_naive, sawtooth
 from .farey import (
     FareyContext,
-    FareyPoint,
     PremiseError,
     expected_value,
     farey_context,

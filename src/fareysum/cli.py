@@ -23,7 +23,7 @@ from contextlib import contextmanager, suppress
 
 from . import counting, experiments, knopp
 from .dedekind import dedekind_fast
-from .experiments import format_decimal, format_fixed
+from .experiments import format_decimal
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -217,19 +217,13 @@ def _cmd_scan(args) -> int:
     for path in (args.csv, args.json):
         if path:
             print(f"wrote {path}")
-    print(f"{'c':>4} {'retained':>9} {'ruled_out':>10} "
-          f"{'M1>=' + str(float(config.t1_hi)):>10} {'M1<' + str(float(config.t1_lo)):>10} "
-          f"{'M2>=' + str(float(config.t2_hi)):>10} {'M2<' + str(float(config.t2_lo)):>10}")
+    labels = (f"{op}{format_decimal(t)}" for op, t in
+              zip(("M1>=", "M1<", "M2>=", "M2<"), experiments.THRESHOLDS.values()))
+    print(f"{'c':>4} {'retained':>9} {'ruled_out':>10} " + " ".join(f"{x:>10}" for x in labels))
     for agg in report.aggregates:
-        pcts = [
-            agg.percent(agg.m1_ge_t1_hi),
-            agg.percent(agg.m1_lt_t1_lo),
-            agg.percent(agg.m2_ge_t2_hi),
-            agg.percent(agg.m2_lt_t2_lo),
-        ]
-        rendered = ["-" if p is None else format_fixed(p, 1) + "%" for p in pcts]
+        shares = ("-" if s is None else s + "%" for s in agg.shares())
         print(f"{agg.c:>4} {agg.retained:>9} {agg.ruled_out:>10} "
-              f"{rendered[0]:>10} {rendered[1]:>10} {rendered[2]:>10} {rendered[3]:>10}")
+              + " ".join(f"{x:>10}" for x in shares))
     return EXIT_OK
 
 

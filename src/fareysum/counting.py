@@ -22,7 +22,8 @@ from itertools import chain, repeat
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
-from .numtheory import d_part, divisors, euler_phi
+from .farey import require_reduced_c
+from .numtheory import d_part, divisors, euler_phi, require_coprime
 from .pool import worker_count
 
 BRUTE_LIMIT = 10 ** 4
@@ -44,11 +45,7 @@ class CountingQuery:
             raise ValueError("n and d must be positive integers")
         if self.m < 1 or self.n % self.m != 0:
             raise ValueError(f"m = {self.m} must be a positive divisor of n = {self.n}")
-        g = gcd(self.c, self.d)
-        if g != 1:
-            raise ValueError(f"c/d must be reduced: gcd({self.c}, {self.d}) = {g}")
-        if not 0 <= self.c < self.d:
-            raise ValueError(f"c = {self.c} must lie in [0, d = {self.d})")
+        require_reduced_c(self.c, self.d)
 
 
 @dataclass(frozen=True)
@@ -64,9 +61,7 @@ def lemma1_count(r: int, d: int, s: int) -> int:
     """#{k mod r : gcd(s + k d, r) = 1} = (r)_d phi((r)_d^perp), gcd(s, d) = 1."""
     if r < 1 or d < 1:
         raise ValueError("r and d must be positive integers")
-    g = gcd(s, d)
-    if g != 1:
-        raise ValueError(f"s must be prime to d: gcd({s}, {d}) = {g}")
+    require_coprime(s, d, "s must be prime to d")
     part = d_part(r, d)
     return part * euler_phi(r // part)
 
@@ -113,9 +108,7 @@ def verify_lemma3(n1: int, n2: int, m: int, c: int, d: int) -> bool:
     """Multiplicativity: A(n1 n2, m) = A(n1, (m, n1)) A(n2, (m, n2))."""
     if n1 < 1 or n2 < 1:
         raise ValueError("n1 and n2 must be positive integers")
-    g = gcd(n1, n2)
-    if g != 1:
-        raise ValueError(f"n1 and n2 must be coprime: gcd = {g}")
+    require_coprime(n1, n2, "n1 and n2 must be coprime")
     whole = count_A_formula(CountingQuery(n1 * n2, m, c, d))
     part1 = count_A_formula(CountingQuery(n1, gcd(m, n1), c, d))
     part2 = count_A_formula(CountingQuery(n2, gcd(m, n2), c, d))

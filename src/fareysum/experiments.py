@@ -7,7 +7,7 @@ the mean relative deviations
     M1 = (1 / sigma(n)) * sum over all terms of |S[r,j]/E[r,j] - 1|
     M2 = (1 / n)        * sum over the m = 1 terms of the same
 
-against configurable thresholds.  All record values stay exact rationals;
+against the table's fixed thresholds.  All record values stay exact rationals;
 rounding happens only when a report is rendered, so two runs of the same
 config produce byte-identical CSV and JSON.
 """
@@ -21,7 +21,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .farey import satisfies_theorem1_premises
+from .farey import require_reduced_c, satisfies_theorem1_premises
 from .knopp import Decomposition, decompose, deviation_profile
 from .numtheory import sigma
 from .pool import worker_count
@@ -34,6 +34,10 @@ B_MODE_RANDOM = "random"
 RULED_OUT_NONE = "none"
 RULED_OUT_GCD = "gcd_failed"
 RULED_OUT_PREMISES = "premises_failed"
+
+# The table's thresholds: M1 >= 5% and M1 < 1%, M2 >= 10% and M2 < 1%.
+THRESHOLDS = {"t1_hi": Fraction(5, 100), "t1_lo": Fraction(1, 100),
+              "t2_hi": Fraction(10, 100), "t2_lo": Fraction(1, 100)}
 
 _MASK64 = (1 << 64) - 1
 
@@ -89,7 +93,7 @@ def format_fixed(value: Fraction, places: int) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Scan parameters; thresholds default to the table rows (0.05/0.01, 0.1/0.01)."""
+    """Scan parameters; the thresholds are the fixed `THRESHOLDS`."""
 
     n: int
     d: int
@@ -98,10 +102,6 @@ class ExperimentConfig:
     b_count: int
     b_mode: str = B_MODE_CONSECUTIVE
     rng_seed: int = 0
-    t1_hi: Fraction = Fraction(5, 100)
-    t1_lo: Fraction = Fraction(1, 100)
-    t2_hi: Fraction = Fraction(10, 100)
-    t2_lo: Fraction = Fraction(1, 100)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
@@ -113,11 +113,7 @@ class ExperimentConfig:
         if not self.c_list:
             raise ValueError("c_list must not be empty")
         for c in self.c_list:
-            if not 0 <= c < self.d or gcd(c, self.d) != 1:
-                raise ValueError(f"c = {c} must lie in [0, {self.d}) and be prime to d")
-        for t in (self.t1_hi, self.t1_lo, self.t2_hi, self.t2_lo):
-            if t <= 0:
-                raise ValueError("thresholds must be positive")
+            require_reduced_c(c, self.d)
         object.__setattr__(self, "c_list", tuple(self.c_list))
 
 
@@ -133,9 +129,12 @@ class ScanRecord:
     ruled_out_reason: str
 
 
+_SHARES = ("m1_ge_t1_hi", "m1_lt_t1_lo", "m2_ge_t2_hi", "m2_lt_t2_lo")
+
+
 @dataclass(frozen=True)
 class ScanAggregate:
-    """Per-c tallies over retained records."""
+    """Per-c tallies over retained records; the four counts follow `_SHARES`."""
 
     c: int
     retained: int
@@ -150,6 +149,11 @@ class ScanAggregate:
         if self.retained == 0:
             return None
         return Fraction(100 * count, self.retained)
+
+    def shares(self) -> list[str | None]:
+        """The four percentages at one decimal, in `_SHARES` order; None for an empty cell."""
+        pcts = (self.percent(getattr(self, name)) for name in _SHARES)
+        return [None if p is None else format_fixed(p, 1) for p in pcts]
 
 
 @dataclass(frozen=True)
@@ -168,10 +172,13 @@ def select_neighbour(b: int, c: int, d: int, n: int) -> tuple[int | None, str]:
     The floor is exact: b*c/d + alpha/n = (b c n d + sqrt(b d)) / (n d^2),
     and replacing sqrt(b d) by isqrt(b d) cannot move the floor across an
     integer.  Returns (a, "none"), or (None, reason) when both candidates
-    fail the coprimality or premise checks.
+    fail the coprimality or premise checks.  A b <= d^3 fails the alpha
+    premise (b > d^3 n^2 (n+1)) whatever a is, so it is ruled out at once.
     """
     if b < 1 or d < 1 or n < 1:
         raise ValueError("b, d, n must be positive integers")
+    if d ** 3 >= b:
+        return None, RULED_OUT_PREMISES
     f = (b * c * n * d + isqrt(b * d)) // (n * d * d)
     saw_coprime = False
     for a in (f - 1, f - 2):
@@ -226,6 +233,7 @@ def _scan_cell(args: tuple[ExperimentConfig, int, int]) -> ScanRecord:
 
 
 def _aggregate(config: ExperimentConfig, records: tuple[ScanRecord, ...]) -> tuple[ScanAggregate, ...]:
+    t1_hi, t1_lo, t2_hi, t2_lo = THRESHOLDS.values()
     out = []
     for c in config.c_list:
         rows = [rec for rec in records if rec.c == c]
@@ -235,10 +243,10 @@ def _aggregate(config: ExperimentConfig, records: tuple[ScanRecord, ...]) -> tup
                 c=c,
                 retained=len(kept),
                 ruled_out=len(rows) - len(kept),
-                m1_ge_t1_hi=sum(1 for r in kept if r.m1 >= config.t1_hi),
-                m1_lt_t1_lo=sum(1 for r in kept if r.m1 < config.t1_lo),
-                m2_ge_t2_hi=sum(1 for r in kept if r.m2 >= config.t2_hi),
-                m2_lt_t2_lo=sum(1 for r in kept if r.m2 < config.t2_lo),
+                m1_ge_t1_hi=sum(1 for r in kept if r.m1 >= t1_hi),
+                m1_lt_t1_lo=sum(1 for r in kept if r.m1 < t1_lo),
+                m2_ge_t2_hi=sum(1 for r in kept if r.m2 >= t2_hi),
+                m2_lt_t2_lo=sum(1 for r in kept if r.m2 < t2_lo),
             )
         )
     return tuple(out)
@@ -272,16 +280,8 @@ def scan_csv_lines(report: ScanReport) -> list[str]:
         m2 = "" if rec.m2 is None else format_decimal(rec.m2)
         lines.append(f"{rec.b},{rec.c},{a},{rec.ruled_out_reason},{m1},{m2}")
     for agg in report.aggregates:
-        pcts = [
-            agg.percent(agg.m1_ge_t1_hi),
-            agg.percent(agg.m1_lt_t1_lo),
-            agg.percent(agg.m2_ge_t2_hi),
-            agg.percent(agg.m2_lt_t2_lo),
-        ]
-        rendered = ["" if p is None else format_fixed(p, 1) for p in pcts]
-        lines.append(
-            f"#agg,{agg.c},{agg.retained},{agg.ruled_out}," + ",".join(rendered)
-        )
+        shares = ",".join(s or "" for s in agg.shares())
+        lines.append(f"#agg,{agg.c},{agg.retained},{agg.ruled_out},{shares}")
     return lines
 
 
@@ -302,12 +302,7 @@ def scan_report_to_dict(report: ScanReport) -> dict:
             "b_count": config.b_count,
             "b_mode": config.b_mode,
             "rng_seed": config.rng_seed,
-            "thresholds": {
-                "t1_hi": format_decimal(config.t1_hi),
-                "t1_lo": format_decimal(config.t1_lo),
-                "t2_hi": format_decimal(config.t2_hi),
-                "t2_lo": format_decimal(config.t2_lo),
-            },
+            "thresholds": {k: format_decimal(t) for k, t in THRESHOLDS.items()},
             "generator": report.generator,
         },
         "records": [
@@ -326,23 +321,12 @@ def scan_report_to_dict(report: ScanReport) -> dict:
                 "c": agg.c,
                 "retained": agg.retained,
                 "ruled_out": agg.ruled_out,
-                "m1_ge_t1_hi": agg.m1_ge_t1_hi,
-                "m1_lt_t1_lo": agg.m1_lt_t1_lo,
-                "m2_ge_t2_hi": agg.m2_ge_t2_hi,
-                "m2_lt_t2_lo": agg.m2_lt_t2_lo,
-                "pct_m1_ge_t1_hi": _pct_str(agg, agg.m1_ge_t1_hi),
-                "pct_m1_lt_t1_lo": _pct_str(agg, agg.m1_lt_t1_lo),
-                "pct_m2_ge_t2_hi": _pct_str(agg, agg.m2_ge_t2_hi),
-                "pct_m2_lt_t2_lo": _pct_str(agg, agg.m2_lt_t2_lo),
+                **{name: getattr(agg, name) for name in _SHARES},
+                **{"pct_" + name: s for name, s in zip(_SHARES, agg.shares())},
             }
             for agg in report.aggregates
         ],
     }
-
-
-def _pct_str(agg: ScanAggregate, count: int) -> str | None:
-    p = agg.percent(count)
-    return None if p is None else format_fixed(p, 1)
 
 
 def write_scan_json(report: ScanReport, path: str) -> None:

@@ -17,85 +17,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
+
+from .numtheory import require_coprime
 
 
 class PremiseError(ValueError):
     """A required exact inequality does not hold."""
 
 
-def _validate_point(b: int, c: int, d: int) -> None:
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if b < 1:
-        raise ValueError("b must be a positive integer")
-    g = gcd(c, d)
-    if g != 1:
-        raise ValueError(f"c/d must be reduced: gcd({c}, {d}) = {g}")
+def require_reduced_c(c: int, d: int) -> None:
+    """Reject a Farey numerator c unless c lies in [0, d) and c/d is reduced."""
+    if not 0 <= c < d:
+        raise ValueError(f"c = {c} must lie in [0, d = {d})")
+    require_coprime(c, d, "c/d must be reduced")
+
+
+def _validate_neighbour_data(b: int, c: int, d: int, a: int) -> None:
+    """Reject (b, c, d, a) unless b, d >= 1, c/d is reduced, d^3 < b and a is prime to b."""
+    if b < 1 or d < 1:
+        raise ValueError("b and d must be positive integers")
+    require_coprime(c, d, "c/d must be reduced")
     if d ** 3 >= b:
         raise ValueError(f"Farey order out of range: d^3 = {d ** 3} >= b = {b}")
-
-
-@dataclass(frozen=True)
-class FareyPoint:
-    """The Farey point b*c/d for a reduced fraction c/d of order < b^(1/3)."""
-
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.b < 4:
-            raise ValueError("b must be >= 4")
-        _validate_point(self.b, self.c, self.d)
-        if not 0 <= self.c < self.d:
-            raise ValueError(f"c = {self.c} must lie in [0, d = {self.d})")
+    require_coprime(a, b, "a must be prime to b")
 
 
 @dataclass(frozen=True)
 class FareyContext:
-    """A Farey neighbour a of the point b*c/d, with q = ad - bc > 0."""
+    """A Farey neighbour a of the point b*c/d, with c in [0, d) and q = ad - bc > 0."""
 
-    point: FareyPoint
+    b: int
+    c: int
+    d: int
     a: int
     q: int
-
-    @property
-    def b(self) -> int:
-        return self.point.b
-
-    @property
-    def c(self) -> int:
-        return self.point.c
-
-    @property
-    def d(self) -> int:
-        return self.point.d
 
 
 def farey_context(b: int, c: int, d: int, a: int) -> FareyContext:
     """Build a validated neighbour context, normalizing c into [0, d).
 
     Shifting c by t*d moves the Farey point by t*b, so a shifts by the same
-    multiple of b (harmless by periodicity of S); q is unchanged.
+    multiple of b (harmless by periodicity of S); q is unchanged, and so is
+    every condition `is_farey_neighbour` checks.
     """
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    t = c // d
-    c -= t * d
-    a -= t * b
-    point = FareyPoint(b, c, d)
-    g = gcd(a, b)
-    if g != 1:
-        raise ValueError(f"a must be prime to b: gcd({a}, {b}) = {g}")
     q = a * d - b * c
-    if q <= 0:
-        raise ValueError(f"a is not right of the Farey point: q = ad - bc = {q}")
-    if d * (q + d) ** 2 > b:
+    if not is_farey_neighbour(b, c, d, a):
         raise ValueError(
-            f"a is outside the right half-interval: d(q+d)^2 = {d * (q + d) ** 2} > b = {b}"
+            f"a is not a right-half Farey neighbour: need q = ad - bc > 0 and "
+            f"d(q+d)^2 <= b (q = {q}, b = {b})"
         )
-    return FareyContext(point, a, q)
+    t = c // d
+    return FareyContext(b, c - t * d, d, a - t * b, q)
 
 
 def is_farey_neighbour(b: int, c: int, d: int, a: int) -> bool:
@@ -104,10 +77,7 @@ def is_farey_neighbour(b: int, c: int, d: int, a: int) -> bool:
     c is not required to lie in [0, d): reduced quadruples arising from
     decompositions may carry c >= d, and the predicate is unaffected.
     """
-    _validate_point(b, c, d)
-    g = gcd(a, b)
-    if g != 1:
-        raise ValueError(f"a must be prime to b: gcd({a}, {b}) = {g}")
+    _validate_neighbour_data(b, c, d, a)
     q = a * d - b * c
     return q > 0 and d * (q + d) ** 2 <= b
 
@@ -119,12 +89,9 @@ def expected_value(ctx: FareyContext) -> Fraction:
 
 def theorem1_premise_failure(b: int, c: int, d: int, a: int, n: int) -> str | None:
     """Name of the first failing premise inequality, or None if all hold."""
-    _validate_point(b, c, d)
+    _validate_neighbour_data(b, c, d, a)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    g = gcd(a, b)
-    if g != 1:
-        raise ValueError(f"a must be prime to b: gcd({a}, {b}) = {g}")
     lhs = b - d ** 3 * n * n * (n + 1)
     if lhs < 0 or lhs * lhs < 4 * d ** 6 * n ** 5:
         return (

@@ -20,7 +20,7 @@ from math import gcd
 
 from .dedekind import dedekind_fast
 from .farey import FareyContext, PremiseError, theorem1_premise_failure
-from .numtheory import divisors, sigma
+from .numtheory import divisors, require_coprime, sigma
 
 N_LIMIT = 10 ** 4
 
@@ -69,9 +69,7 @@ def decompose(
         raise ValueError("b and d must be positive integers")
     if not 1 <= n <= N_LIMIT:
         raise ValueError(f"n must lie in [1, {N_LIMIT}], got {n}")
-    g = gcd(c, d)
-    if g != 1:
-        raise ValueError(f"c/d must be reduced: gcd({c}, {d}) = {g}")
+    require_coprime(c, d, "c/d must be reduced")
     q = a * d - b * c
     if q == 0:
         raise ValueError("degenerate base: ad = bc")

@@ -72,6 +72,13 @@ def factorize(n: int) -> FactoredNat:
     return FactoredNat(n, tuple(factors))
 
 
+def require_coprime(x: int, y: int, rule: str) -> None:
+    """Raise ValueError("<rule>: gcd(x, y) = g") unless gcd(x, y) = 1."""
+    g = math.gcd(x, y)
+    if g != 1:
+        raise ValueError(f"{rule}: gcd({x}, {y}) = {g}")
+
+
 def d_part(r: int, d: int) -> int:
     """Largest divisor of r composed only of primes that also divide d.
 

@@ -248,6 +248,20 @@ class TestScan:
         assert csv_path.read_text().startswith("b,c,a,ruled_out,m1,m2")
         assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
 
+    @pytest.mark.parametrize("seed", ["3", "1"])
+    def test_b_below_d_cubed_is_ruled_out(self, capsys, tmp_path, seed):
+        # seed 3 draws b = 253, seed 1 draws b = 465; both lie below d^3 = 729
+        csv_path = tmp_path / "scan.csv"
+        code, _, err = run(
+            capsys, "scan", "--n", "1", "--d", "9", "--c", "1",
+            "--b-start", "100", "--b-count", "1", "--random", "--seed", seed,
+            "--csv", str(csv_path),
+        )
+        assert code == 0, err
+        record = csv_path.read_text().splitlines()[1].split(",")
+        assert int(record[0]) < 729
+        assert record[3] == "premises_failed"
+
     def test_bad_c_list(self, capsys):
         code, _, err = run(
             capsys, "scan", "--n", "12", "--d", "9", "--c", "3",

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -12,6 +13,7 @@ from fareysum.experiments import (
     B_MODE_RANDOM,
     RULED_OUT_GCD,
     RULED_OUT_NONE,
+    RULED_OUT_PREMISES,
     ExperimentConfig,
     SplitMix64,
     format_decimal,
@@ -91,6 +93,13 @@ class TestSelectNeighbour:
                 ruled += 1
         assert ruled <= 20
 
+    def test_small_b_is_a_premise_failure(self):
+        # b = 253 <= d^3 = 729 fails the alpha premise for every n; f - 1 is
+        # prime to b here and f - 2 is not, and neither may change the reason
+        assert select_neighbour(253, 1, 9, 1) == (None, RULED_OUT_PREMISES)
+        assert select_neighbour(465, 1, 9, 1) == (None, RULED_OUT_PREMISES)
+        assert select_neighbour(729, 1, 9, 1) == (None, RULED_OUT_PREMISES)
+
     def test_first_coprime_candidate_wins(self):
         found = False
         for b in range(10 ** 7 + 1, 10 ** 7 + 500):
@@ -139,17 +148,17 @@ class TestMeanDeviations:
 
 class TestConfigValidation:
     def test_rejects_bad_c(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("c/d must be reduced: gcd(3, 9) = 3")):
             ExperimentConfig(n=12, d=9, c_list=(3,), b_start=10, b_count=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("c = 9 must lie in [0, d = 9)")):
             ExperimentConfig(n=12, d=9, c_list=(9,), b_start=10, b_count=1)
 
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown b_mode"):
             ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10, b_count=1, b_mode="walk")
 
     def test_rejects_empty_c_list(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="c_list must not be empty"):
             ExperimentConfig(n=12, d=9, c_list=(), b_start=10, b_count=1)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from conftest import draw_context
 from fareysum.dedekind import dedekind_fast
 from fareysum.farey import (
     FareyContext,
-    FareyPoint,
     expected_value,
     farey_context,
     is_farey_neighbour,
@@ -21,25 +21,24 @@ from fareysum.farey import (
 
 
 class TestFareyPoint:
+    """The rules on the Farey point b*c/d, which `farey_context` enforces."""
+
     def test_valid(self):
-        p = FareyPoint(100, 0, 1)
-        assert (p.b, p.c, p.d) == (100, 0, 1)
+        ctx = farey_context(31537789, 1, 9, 3504214)
+        assert (ctx.b, ctx.c, ctx.d) == (31537789, 1, 9)
 
     def test_rejects_unreduced(self):
-        with pytest.raises(ValueError):
-            FareyPoint(1000, 2, 4)
+        with pytest.raises(ValueError, match=re.escape("c/d must be reduced: gcd(2, 4) = 2")):
+            farey_context(1000, 2, 4, 501)
 
     def test_rejects_large_order(self):
-        with pytest.raises(ValueError):
-            FareyPoint(27, 1, 3)
+        with pytest.raises(ValueError, match="Farey order out of range"):
+            farey_context(27, 1, 3, 10)
 
     def test_rejects_small_b(self):
-        with pytest.raises(ValueError):
-            FareyPoint(3, 0, 1)
-
-    def test_rejects_c_out_of_range(self):
-        with pytest.raises(ValueError):
-            FareyPoint(1000, 7, 5)
+        # b <= 3 needs no guard of its own: with q, d >= 1, d(q+d)^2 >= 4 > b
+        with pytest.raises(ValueError, match="not a right-half Farey neighbour"):
+            farey_context(3, 0, 1, 1)
 
 
 class TestIsFareyNeighbour:
@@ -56,12 +55,12 @@ class TestIsFareyNeighbour:
         assert not is_farey_neighbour(100, 1, 3, 33)
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
-            is_farey_neighbour(1000, 2, 4, 7)  # gcd(c, d) != 1
-        with pytest.raises(ValueError):
-            is_farey_neighbour(27, 1, 3, 7)  # d^3 >= b
-        with pytest.raises(ValueError):
-            is_farey_neighbour(100, 0, 1, 10)  # gcd(a, b) != 1
+        with pytest.raises(ValueError, match="c/d must be reduced"):
+            is_farey_neighbour(1000, 2, 4, 7)
+        with pytest.raises(ValueError, match="Farey order out of range"):
+            is_farey_neighbour(27, 1, 3, 7)
+        with pytest.raises(ValueError, match="a must be prime to b"):
+            is_farey_neighbour(100, 0, 1, 10)
 
     def test_accepts_c_at_least_d(self):
         # reduced quadruples from decompositions may carry c >= d;
@@ -108,15 +107,15 @@ class TestFareyContext:
         assert shifted == base
 
     def test_rejects_non_neighbour(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a right-half Farey neighbour"):
             farey_context(100, 0, 1, 11)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a right-half Farey neighbour"):
             farey_context(100, 1, 3, 33)
 
     def test_accessors(self):
         ctx = farey_context(100, 0, 1, 9)
         assert isinstance(ctx, FareyContext)
-        assert (ctx.b, ctx.c, ctx.d, ctx.a) == (100, 0, 1, 9)
+        assert (ctx.b, ctx.c, ctx.d, ctx.a, ctx.q) == (100, 0, 1, 9, 9)
 
 
 class TestExpectedValue:

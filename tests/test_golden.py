@@ -61,3 +61,24 @@ def test_sweep_csv_and_stdout_match_golden(jobs, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / "sweep_n24_d8.stdout").read_bytes()
     assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / "sweep_n24_d8.csv").read_bytes()
+
+
+def test_scan_stdout_matches_golden(capsys):
+    code = cli.main(["scan", "--n", "12", "--d", "9", "--c", "1,2,4,5,7,8",
+                     "--b-start", "100000001", "--b-count", "50"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "scan_1e8_w50.stdout").read_bytes()
+
+
+def test_empty_scan_reports_match_golden(tmp_path, monkeypatch, capsys):
+    # no b at all: every share is empty, rendered as "-", "" and null
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["scan", "--n", "12", "--d", "9", "--c", "1,2",
+                     "--b-start", "100000001", "--b-count", "0",
+                     "--csv", "scan_empty.csv", "--json", "scan_empty.json"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "scan_empty.stdout").read_bytes()
+    for name in ("scan_empty.csv", "scan_empty.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
