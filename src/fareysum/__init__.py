@@ -9,12 +9,10 @@ scans with CSV/JSON reports.
 
 from .counting import (
     CountingQuery,
-    CountingResult,
     SweepReport,
     SweepRow,
     count_A_brute,
     count_A_formula,
-    counting_result,
     lemma1_count,
     multiplicity_histogram,
     sweep_rows,
@@ -22,14 +20,12 @@ from .counting import (
     verify_theorem2,
     write_sweep_csv,
 )
-from .dedekind import dedekind_fast, dedekind_naive, sawtooth
+from .dedekind import dedekind_fast, dedekind_naive
 from .farey import (
     FareyContext,
     PremiseError,
-    expected_value,
     farey_context,
     is_farey_neighbour,
-    max_neighbour_distance,
     satisfies_theorem1_premises,
     theorem1_premise_failure,
 )
@@ -57,14 +53,11 @@ from .experiments import (
     write_scan_json,
 )
 from .numtheory import (
-    FactoredNat,
-    d_free_part,
     d_part,
     divisors,
     euler_phi,
     factorize,
     sigma,
-    v_p,
 )
 
 __version__ = "0.1.0"

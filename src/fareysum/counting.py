@@ -15,7 +15,7 @@ bounds; its report serializes as CSV.
 from __future__ import annotations
 
 import csv
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -29,6 +29,7 @@ from .pool import worker_count
 BRUTE_LIMIT = 10 ** 4
 SWEEP_MAX_N_DEFAULT = 200
 SWEEP_MAX_D_DEFAULT = 50
+IN_FLIGHT_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,6 @@ class CountingQuery:
         if self.m < 1 or self.n % self.m != 0:
             raise ValueError(f"m = {self.m} must be a positive divisor of n = {self.n}")
         require_reduced_c(self.c, self.d)
-
-
-@dataclass(frozen=True)
-class CountingResult:
-    """The same count by all three routes; they must agree."""
-
-    brute_force: int
-    lemma2_formula: int
-    closed_form: int
 
 
 def lemma1_count(r: int, d: int, s: int) -> int:
@@ -93,15 +85,6 @@ def count_A_formula(query: CountingQuery) -> int:
             part = d_part(rm, d1)
             total += part * euler_phi(rm // part)
     return total
-
-
-def counting_result(query: CountingQuery) -> CountingResult:
-    """All three counts for one query."""
-    return CountingResult(
-        brute_force=count_A_brute(query),
-        lemma2_formula=count_A_formula(query),
-        closed_form=query.n // query.m,
-    )
 
 
 def verify_lemma3(n1: int, n2: int, m: int, c: int, d: int) -> bool:
@@ -182,14 +165,18 @@ def _n_tally(n: int, max_d: int) -> tuple[int, list[SweepRow]]:
 
 
 def _over_n(fn, max_n: int, max_d: int, workers: int) -> Iterator:
-    """fn(n, max_d) for n = 1, ..., max_n in order, over a process pool
-    when workers > 1."""
-    ns = range(1, max_n + 1)
+    """fn(n, max_d) for n = 1, ..., max_n in order; with workers > 1, over a process
+    pool that holds at most IN_FLIGHT_PER_WORKER * workers values of n in flight."""
     if workers == 1:
-        yield from map(fn, ns, repeat(max_d))
+        yield from map(fn, range(1, max_n + 1), repeat(max_d))
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, ns, repeat(max_d), chunksize=8)
+        pending = deque()
+        for n in range(1, max_n + 1):
+            pending.append(pool.submit(fn, n, max_d))
+            if len(pending) == IN_FLIGHT_PER_WORKER * workers:
+                yield pending.popleft().result()
+        yield from (future.result() for future in pending)
 
 
 def sweep_rows(max_n: int, max_d: int, jobs: int = 1) -> Iterator[SweepRow]:

@@ -23,14 +23,6 @@ from math import gcd
 NAIVE_LIMIT_DEFAULT = 10 ** 6
 
 
-def sawtooth(t: Fraction | int) -> Fraction:
-    """((t)): t - floor(t) - 1/2 for non-integer t, and 0 for integer t."""
-    t = Fraction(t)
-    if t.denominator == 1:
-        return Fraction(0)
-    return t - (t.numerator // t.denominator) - Fraction(1, 2)
-
-
 def dedekind_naive(a: int, b: int, limit: int = NAIVE_LIMIT_DEFAULT) -> Fraction:
     """s(a, b) by direct summation; refuses b beyond `limit`.
 

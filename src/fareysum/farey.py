@@ -16,8 +16,6 @@ Only right-half neighbours (q > 0, hence S(a, b) > 0) are supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
 
 from .numtheory import require_coprime
 
@@ -82,11 +80,6 @@ def is_farey_neighbour(b: int, c: int, d: int, a: int) -> bool:
     return q > 0 and d * (q + d) ** 2 <= b
 
 
-def expected_value(ctx: FareyContext) -> Fraction:
-    """E(a, b) = b / (d q), the predicted size of S(a, b); always positive."""
-    return Fraction(ctx.b, ctx.d * ctx.q)
-
-
 def theorem1_premise_failure(b: int, c: int, d: int, a: int, n: int) -> str | None:
     """Name of the first failing premise inequality, or None if all hold."""
     _validate_neighbour_data(b, c, d, a)
@@ -112,15 +105,3 @@ def theorem1_premise_failure(b: int, c: int, d: int, a: int, n: int) -> str | No
 def satisfies_theorem1_premises(b: int, c: int, d: int, a: int, n: int) -> bool:
     """Exact test of alpha >= n^(3/2) + n together with 0 < q/d <= alpha/n - 1."""
     return theorem1_premise_failure(b, c, d, a, n) is None
-
-
-def max_neighbour_distance(b: int, d: int, n: int = 1) -> int:
-    """Largest q with n^2 (q+d)^2 d <= b, or 0 if no positive q qualifies.
-
-    In q/d units this is the admissible window width alpha/n - 1 rounded
-    down to a multiple of 1/d.
-    """
-    if b < 1 or d < 1 or n < 1:
-        raise ValueError("b, d, n must be positive integers")
-    q = isqrt(b // (n * n * d)) - d
-    return max(q, 0)

@@ -131,8 +131,8 @@ def deviation_profile(dec: Decomposition) -> list[tuple[int, int, int, Fraction]
 def three_term_residual(ctx: FareyContext) -> Fraction:
     """S(a,b) - b/(dq) - S(c,d) - d/(bq) - q/(db) + 3.
 
-    By the three-term relation this equals S(t, q) for some integer t
-    determined by the context, so the caller may rely on |result| < q.
+    By the three-term relation this equals S(t, q), t = -(u a + v b) mod q
+    for any u, v with u c + v d = 1, so the caller may rely on |result| < q.
     """
     b, c, d, a, q = ctx.b, ctx.c, ctx.d, ctx.a, ctx.q
     s_ab = 12 * dedekind_fast(a, b)

@@ -10,42 +10,15 @@ terms with a positive denominator after every operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 # Trial-division wheel past 2 and 3: candidates 5, 7, 11, 13, ... step 2, 4, 2, 4, ...
 _WHEEL = (2, 4)
 
 
-def v_p(t: int, p: int) -> int:
-    """p-exponent of t: the largest e such that p**e divides t (t != 0)."""
-    if t == 0:
-        raise ValueError("v_p(0) is undefined")
-    if p < 2:
-        raise ValueError("p must be a prime (>= 2)")
-    t = abs(t)
-    e = 0
-    while t % p == 0:
-        t //= p
-        e += 1
-    return e
-
-
-@dataclass(frozen=True)
-class FactoredNat:
-    """A positive integer together with its prime factorization.
-
-    `factors` lists (prime, exponent) pairs with strictly increasing primes
-    and exponents >= 1; the product of prime**exponent equals `value`.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-
 @lru_cache(maxsize=1 << 16)
-def factorize(n: int) -> FactoredNat:
-    """Factor n >= 1 by trial division (intended for n up to ~10**6)."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 1, primes ascending, by trial division."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     m = n
@@ -69,7 +42,7 @@ def factorize(n: int) -> FactoredNat:
         step ^= 1
     if m > 1:
         factors.append((m, 1))
-    return FactoredNat(n, tuple(factors))
+    return tuple(factors)
 
 
 def require_coprime(x: int, y: int, rule: str) -> None:
@@ -96,15 +69,10 @@ def d_part(r: int, d: int) -> int:
     return out
 
 
-def d_free_part(r: int, d: int) -> int:
-    """Complementary divisor of d_part: the largest divisor of r coprime to d."""
-    return r // d_part(r, d)
-
-
 def euler_phi(n: int) -> int:
     """Euler's totient function."""
     result = n
-    for p, _ in factorize(n).factors:
+    for p, _ in factorize(n):
         result -= result // p
     return result
 
@@ -112,7 +80,7 @@ def euler_phi(n: int) -> int:
 def sigma(n: int) -> int:
     """Sum of the positive divisors of n."""
     total = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         total *= (p ** (e + 1) - 1) // (p - 1)
     return total
 
@@ -120,6 +88,6 @@ def sigma(n: int) -> int:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         divs = [q * p ** k for q in divs for k in range(e + 1)]
     return sorted(divs)

@@ -21,6 +21,11 @@ def window_max_q(b: int, d: int, n: int) -> int:
     return isqrt(b // (n * n * d)) - d
 
 
+def prime_to(m: int, start: int) -> int:
+    """The first x >= start with gcd(x, m) = 1."""
+    return next(x for x in range(start, start + m + 1) if gcd(x, m) == 1)
+
+
 def draw_context(
     rng: random.Random,
     b_lo: int,

@@ -3,7 +3,8 @@
 Three independent routes to s(a, b) are compared: the direct summation
 `dedekind_naive`, the integer continued-fraction form `dedekind_fast`, and
 the rational reciprocity chain `dedekind_reciprocity` kept here as a
-reference.
+reference.  The sawtooth function and the defining sum built on it are
+test oracles and live here too.
 """
 
 import random
@@ -14,7 +15,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fareysum.dedekind import dedekind_fast, dedekind_naive, sawtooth
+from fareysum.dedekind import dedekind_fast, dedekind_naive
+
+
+def sawtooth(t: Fraction | int) -> Fraction:
+    """((t)): t - floor(t) - 1/2 for non-integer t, and 0 for integer t."""
+    t = Fraction(t)
+    if t.denominator == 1:
+        return Fraction(0)
+    return t - (t.numerator // t.denominator) - Fraction(1, 2)
 
 
 def dedekind_by_definition(a: int, b: int) -> Fraction:

@@ -5,10 +5,13 @@ import json
 import random
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import floor, gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import prime_to, window_max_q
 from fareysum.experiments import (
     B_MODE_RANDOM,
     RULED_OUT_GCD,
@@ -28,7 +31,7 @@ from fareysum.experiments import (
     write_scan_csv,
     write_scan_json,
 )
-from fareysum.farey import max_neighbour_distance, satisfies_theorem1_premises
+from fareysum.farey import satisfies_theorem1_premises
 from fareysum.knopp import decompose
 
 
@@ -73,7 +76,7 @@ class TestSelectNeighbour:
         assert satisfies_theorem1_premises(b, c, d, a, n)
         # the worked example's hand-picked a is inside the same window
         q_example = 9 * 3504214 - b
-        assert 0 < q_example <= max_neighbour_distance(b, d, n)
+        assert 0 < q_example <= window_max_q(b, d, n)
 
     def test_degenerate_point(self):
         b, n = 99999989, 5
@@ -110,6 +113,44 @@ class TestSelectNeighbour:
                 found = True
                 break
         assert found
+
+
+def floor_of_root_sum(x: int, y: int, z: int) -> int:
+    """floor((x + sqrt(y)) / z) for y >= 0, z >= 1, by bisection on the squared
+    test f z - x <= sqrt(y)  <=>  f z - x <= 0 or (f z - x)^2 <= y."""
+    lo, hi = x // z, (x + y + 1) // z + 1  # lo passes the test, hi fails it
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        t = mid * z - x
+        if t <= 0 or t * t <= y:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestSelectNeighbourFloor:
+    """The a-choice's floor at a perfect square b d, and one step of b below."""
+
+    @staticmethod
+    def expected_a(b: int, c: int, d: int, n: int, f: int) -> int | None:
+        admissible = [a for a in (f - 1, f - 2)
+                      if gcd(a, b) == 1 and satisfies_theorem1_premises(b, c, d, a, n)]
+        return admissible[0] if admissible else None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 10 ** 6), st.integers(0, 11), st.integers(1, 12))
+    def test_perfect_square(self, d, t, c_seed, n):
+        # b = d t^2 makes sqrt(b d) = d t, so alpha/n = t / (n d) exactly
+        c = prime_to(d, c_seed) % d
+        b = d * t * t
+        assume(d ** 3 < b - 1)
+        f = floor(Fraction(b * c, d) + Fraction(t, n * d))
+        assert f == floor_of_root_sum(b * c * n * d, b * d, n * d * d)
+        assert select_neighbour(b, c, d, n)[0] == self.expected_a(b, c, d, n, f)
+        # b - 1: (b - 1) d = (d t)^2 - d is no square once d t > 1
+        f = floor_of_root_sum((b - 1) * c * n * d, (b - 1) * d, n * d * d)
+        assert select_neighbour(b - 1, c, d, n)[0] == self.expected_a(b - 1, c, d, n, f)
 
 
 class TestMeanDeviations:

@@ -6,18 +6,24 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import draw_context
+from conftest import alpha_premise_holds, draw_context, prime_to, window_max_q
 from fareysum.dedekind import dedekind_fast
 from fareysum.farey import (
     FareyContext,
-    expected_value,
     farey_context,
     is_farey_neighbour,
-    max_neighbour_distance,
     satisfies_theorem1_premises,
     theorem1_premise_failure,
 )
+from fareysum.knopp import decompose
+
+
+def base_expected(ctx: FareyContext) -> Fraction:
+    """E(a, b) = b/(dq), as the n = 1 decomposition carries it."""
+    return decompose(ctx.a, ctx.b, ctx.c, ctx.d, 1).base_expected
 
 
 class TestFareyPoint:
@@ -121,7 +127,7 @@ class TestFareyContext:
 class TestExpectedValue:
     def test_worked_example(self):
         ctx = farey_context(31537789, 1, 9, 3504214)
-        e = expected_value(ctx)
+        e = base_expected(ctx)
         assert e == Fraction(31537789, 1233)
         assert abs(float(e) - 25578.093) < 0.001
 
@@ -129,14 +135,14 @@ class TestExpectedValue:
         for b in (4, 100, 12345):
             ctx = farey_context(b, 0, 1, 1)
             assert ctx.q == 1
-            assert expected_value(ctx) == b
+            assert base_expected(ctx) == b
 
     def test_positive_and_above_cube_root(self):
         rng = random.Random(41)
         for _ in range(150):
             b, c, d, a = draw_context(rng, 30, 10 ** 8)
             ctx = farey_context(b, c, d, a)
-            e = expected_value(ctx)
+            e = base_expected(ctx)
             assert e > 0
             # E > b^(1/3), exactly: (b/(dq))^3 > b <=> b^2 > (dq)^3
             assert b * b > (d * ctx.q) ** 3
@@ -163,9 +169,11 @@ class TestTheorem1Premises:
             assert satisfies_theorem1_premises(b, c, d, a, 1) == expected
 
     def test_window_threshold_from_worked_example(self):
-        # alpha/n - 1 >= 10 exactly at b = 12702096 for d = 9, n = 12
-        assert max_neighbour_distance(12702095, 9, 12) == 89
-        assert max_neighbour_distance(12702096, 9, 12) == 90
+        # alpha/n - 1 >= 10 exactly at b = 12702096 for d = 9, n = 12.  Every a
+        # with q = 90 there is even, like b, so the premise check itself is
+        # pinned at its equality by TestEqualityCases::test_window_edge.
+        assert window_max_q(12702095, 9, 12) == 89
+        assert window_max_q(12702096, 9, 12) == 90
 
     def test_failure_messages_name_the_inequality(self):
         msg = theorem1_premise_failure(31537789, 1, 9, 3504214, 100)
@@ -196,7 +204,58 @@ class TestMaxNeighbourDistance:
             b = rng.randint(10, 10 ** 9)
             d = rng.randint(1, 15)
             n = rng.randint(1, 12)
-            q = max_neighbour_distance(b, d, n)
+            q = max(window_max_q(b, d, n), 0)
             if q >= 1:
                 assert n * n * (q + d) ** 2 * d <= b
             assert n * n * (q + 1 + d) ** 2 * d > b
+
+
+class TestEqualityCases:
+    """Each exact inequality at equality, and one step of b past it.
+
+    At equality d | q, because a d = q + b c and d | b in every case below;
+    so q = d j and a = (q + b c) / d is an integer.  The step past is b - 1
+    with a kept: q grows by c >= 0 while b shrinks by one.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 10 ** 6), st.integers(0, 11))
+    def test_neighbour_edge(self, d, j_seed, c_seed):
+        # a = j + d^2 (j+1)^2 c is prime to b = d^3 (j+1)^2 when j is prime to d
+        c = prime_to(d, c_seed) % d
+        q = d * prime_to(d, j_seed)
+        b = d * (q + d) ** 2
+        a = (q + b * c) // d
+        assume(math.gcd(a, b - 1) == 1)
+        assert a * d - b * c == q and math.gcd(a, b) == 1
+        assert is_farey_neighbour(b, c, d, a)
+        assert not is_farey_neighbour(b - 1, c, d, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 9), st.integers(1, 10 ** 4), st.integers(0, 8))
+    @example(12, 9, 11, 1)  # the worked example's n and d: b = 15116544, q = 99
+    def test_window_edge(self, n, d, j_seed, c_seed):
+        c = prime_to(d, c_seed) % d
+        q = d * prime_to(n * d, j_seed)
+        b = n * n * (q + d) ** 2 * d
+        a = (q + b * c) // d
+        assume(alpha_premise_holds(b - 1, d, n) and math.gcd(a, b - 1) == 1)
+        assert math.gcd(a, b) == 1
+        assert theorem1_premise_failure(b, c, d, a, n) is None
+        failure = theorem1_premise_failure(b - 1, c, d, a, n)
+        assert failure is not None and failure.startswith("admissible window fails")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 60), st.integers(0, 59), st.integers(0, 8))
+    def test_alpha_edge(self, d, k, j_seed, c_seed):
+        # n = k^2 makes 2 d^3 n^(5/2) an integer: L = 2 d^3 k^5 gives L^2 = 4 d^6 n^5
+        c = prime_to(d, c_seed) % d
+        n = k * k
+        b = d ** 3 * n * n * (n + 1) + 2 * d ** 3 * k ** 5
+        q = d * (1 + j_seed % k)  # q <= d k keeps n^2 (q+d)^2 d <= d^3 k^4 (k+1)^2 = b
+        a = (q + b * c) // d
+        assume(math.gcd(a, b) == 1 and math.gcd(a, b - 1) == 1)
+        assert (b - d ** 3 * n * n * (n + 1)) ** 2 == 4 * d ** 6 * n ** 5
+        assert theorem1_premise_failure(b, c, d, a, n) is None
+        failure = theorem1_premise_failure(b - 1, c, d, a, n)
+        assert failure is not None and failure.startswith("alpha lower bound fails")

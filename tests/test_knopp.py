@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import draw_base, draw_context
 from fareysum.dedekind import dedekind_fast
@@ -177,11 +179,16 @@ class TestThreeTermResidual:
         ctx = farey_context(31537789, 1, 9, 3504214)
         assert abs(three_term_residual(ctx)) < ctx.q == 137
 
-    def test_residual_is_a_dedekind_sum(self):
-        rng = random.Random(83)
-        for _ in range(40):
-            b, c, d, a = draw_context(rng, 100, 10 ** 5)
-            ctx = farey_context(b, c, d, a)
-            residual = three_term_residual(ctx)
-            assert abs(residual) < ctx.q
-            assert any(S(u, ctx.q) == residual for u in range(ctx.q))
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_residual_is_a_dedekind_sum(self, seed):
+        # S(t, q) with u c + v d = 1 and t = -(u a + v b) mod q; every such
+        # (u, v) gives the same t, since (u + d, v - c) moves u a + v b by q
+        b, c, d, a = draw_context(random.Random(seed), 100, 10 ** 12)
+        ctx = farey_context(b, c, d, a)
+        u = pow(c, -1, d)
+        v = (1 - u * c) // d
+        t = -(u * a + v * b) % ctx.q
+        residual = three_term_residual(ctx)
+        assert residual == S(t, ctx.q)
+        assert abs(residual) < ctx.q

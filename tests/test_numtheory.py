@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fareysum.numtheory import (
-    d_free_part,
     d_part,
     divisors,
     euler_phi,
     factorize,
     sigma,
-    v_p,
 )
 
 
@@ -79,54 +77,31 @@ class TestIsqrt:
         assert r * r <= x < (r + 1) * (r + 1)
 
 
-class TestVp:
-    def test_small(self):
-        assert v_p(12, 2) == 2
-
-    def test_coprime(self):
-        assert v_p(12, 5) == 0
-
-    def test_repeated_division_oracle(self):
-        t, p = 54, 3
-        e = 0
-        while t % p == 0:
-            t //= p
-            e += 1
-        assert v_p(54, 3) == e == 3
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            v_p(0, 2)
-
-    def test_negative(self):
-        assert v_p(-54, 3) == 3
-
-
 class TestParts:
     def test_forced_by_definition(self):
         assert d_part(12, 10) == 4
-        assert d_free_part(12, 10) == 3
+        assert 12 // d_part(12, 10) == 3
 
     def test_no_shared_primes(self):
         for r in (1, 5, 36, 97):
             assert d_part(r, 1) == 1
-            assert d_free_part(r, 1) == r
+            assert r // d_part(r, 1) == r
 
     def test_factorization_oracle(self):
         # d_part(8, 6): primes of 8 are {2}, 2 | 6, so the whole of 8
-        facs = dict(factorize(8).factors)
+        facs = dict(factorize(8))
         expected = prod(p ** e for p, e in facs.items() if 6 % p == 0)
         assert d_part(8, 6) == expected == 8
-        assert d_free_part(8, 6) == 1
+        assert 8 // d_part(8, 6) == 1
 
     @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
     def test_split_properties(self, r, d):
         part = d_part(r, d)
-        free = d_free_part(r, d)
+        free = r // part
         assert part * free == r
         assert gcd(free, d) == 1
         # every prime of the d-part divides d
-        for p, _ in factorize(part).factors:
+        for p, _ in factorize(part):
             assert d % p == 0
 
 
@@ -169,12 +144,11 @@ class TestMultiplicativeFunctions:
     def test_factorize_invariants(self):
         for n in (1, 2, 97, 360, 2 ** 10, 999983, 10 ** 6):
             fn = factorize(n)
-            assert fn.value == n
-            assert prod(p ** e for p, e in fn.factors) == n
-            primes = [p for p, _ in fn.factors]
+            assert prod(p ** e for p, e in fn) == n
+            primes = [p for p, _ in fn]
             assert primes == sorted(primes)
             assert len(set(primes)) == len(primes)
-            assert all(e >= 1 for _, e in fn.factors)
+            assert all(e >= 1 for _, e in fn)
             for p in primes:
                 assert all(p % q != 0 for q in range(2, p)) or p < 4
 

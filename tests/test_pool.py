@@ -1,7 +1,7 @@
 """Tests for the worker-count bound shared by the scan and the sweep.
 
 No test here starts a process pool: `ProcessPoolExecutor` is replaced by a
-stand-in that records `max_workers` and maps in this process.
+stand-in that records `max_workers` and runs every task in this process.
 """
 
 import pytest
@@ -12,9 +12,11 @@ from fareysum.pool import worker_count
 
 
 class RecordingPool:
-    """Serial stand-in for ProcessPoolExecutor that records its size."""
+    """Serial stand-in for ProcessPoolExecutor that records its size and the
+    largest number of submitted tasks whose result was not yet taken."""
 
     sizes: list[int] = []
+    in_flight = peak_in_flight = 0
 
     def __init__(self, max_workers):
         RecordingPool.sizes.append(max_workers)
@@ -28,6 +30,22 @@ class RecordingPool:
     def map(self, fn, *iterables, chunksize=1):
         return map(fn, *iterables)
 
+    def submit(self, fn, *args):
+        RecordingPool.in_flight += 1
+        RecordingPool.peak_in_flight = max(RecordingPool.peak_in_flight, RecordingPool.in_flight)
+        return DoneFuture(fn(*args))
+
+
+class DoneFuture:
+    """A finished task; taking its result ends its time in flight."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        RecordingPool.in_flight -= 1
+        return self.value
+
 
 @pytest.fixture
 def eight_cpus(monkeypatch):
@@ -36,6 +54,7 @@ def eight_cpus(monkeypatch):
     monkeypatch.setattr(counting, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.sizes = []
+    RecordingPool.in_flight = RecordingPool.peak_in_flight = 0
 
 
 class TestWorkerCount:
@@ -78,3 +97,13 @@ class TestPoolSize:
         assert RecordingPool.sizes == [8]
         assert rows == list(counting.sweep_rows(20, 4))
         assert all(isinstance(row, counting.SweepRow) for row in rows)
+
+    @pytest.mark.parametrize("csv", [False, True])
+    def test_sweep_keeps_a_bounded_window_of_n_in_flight(self, eight_cpus, csv, tmp_path):
+        # 40 values of n over 2 workers: at most 4 per worker wait at once
+        path = str(tmp_path / "sweep.csv") if csv else None
+        report = counting.verify_theorem2(40, 3, jobs=2, csv_path=path)
+        assert RecordingPool.sizes == [2]
+        assert RecordingPool.peak_in_flight == counting.IN_FLIGHT_PER_WORKER * 2 == 8
+        assert RecordingPool.in_flight == 0
+        assert report == counting.verify_theorem2(40, 3)
