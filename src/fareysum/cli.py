@@ -121,10 +121,12 @@ def _atomic_reports(*paths: str | None):
     """Yield one temp path per report path (None for None).  Every path is
     checked first; the temp files replace their targets only after the body
     has written them all, and are removed if it fails, so a run leaves
-    either every report or none."""
-    for path in paths:
-        if path is not None:
-            _check_report_path(path)
+    either every report or none.  Two reports may not share one file."""
+    given = [path for path in paths if path is not None]
+    for path in given:
+        _check_report_path(path)
+    if len({os.path.realpath(path) for path in given}) < len(given):
+        raise ValueError(f"two reports name the same file: {' and '.join(given)}")
     temps: list[str | None] = []
     try:
         for path in paths:

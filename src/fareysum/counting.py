@@ -15,21 +15,20 @@ bounds; its report serializes as CSV.
 from __future__ import annotations
 
 import csv
-from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
 from .farey import require_reduced_c
 from .numtheory import d_part, divisors, euler_phi, require_coprime
-from .pool import worker_count
+from .pool import ordered_map
 
 BRUTE_LIMIT = 10 ** 4
 SWEEP_MAX_N_DEFAULT = 200
 SWEEP_MAX_D_DEFAULT = 50
-IN_FLIGHT_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -125,68 +124,28 @@ class SweepReport:
         return not self.violations
 
 
-def _coprime_range(d: int) -> list[int]:
-    return [c for c in range(d) if gcd(c, d) == 1]
-
-
-def _n_rows(n: int, max_d: int) -> Iterator[SweepRow]:
-    """The check rows of one n, in (d, c, m) order."""
+def _n_rows(n: int, max_d: int) -> list[tuple]:
+    """The check rows of one n, in (d, c, m) order, as plain tuples, which
+    cross a process pool far more cheaply than `SweepRow`s."""
+    rows = []
     divs = divisors(n)
     for d in range(1, max_d + 1):
-        cs = _coprime_range(d)
+        cs = [c for c in range(d) if gcd(c, d) == 1]
         # the formula does not depend on c, so compute it once per (n, d, m)
         expected = [(m, count_A_formula(CountingQuery(n, m, cs[0], d)), n // m) for m in divs]
         for c in cs:
             hist = multiplicity_histogram(n, c, d)
             for m, formula, closed in expected:
                 brute = hist[m]
-                yield SweepRow(n, m, d, c, brute, formula, closed, brute == formula == closed)
-
-
-def _n_block(n: int, max_d: int) -> list[tuple]:
-    """The rows of one n as plain tuples, which cross a process pool far
-    more cheaply than `SweepRow`s."""
-    return [tuple(row) for row in _n_rows(n, max_d)]
-
-
-def _collect_violations(rows: Iterable[SweepRow], violations: list[SweepRow]) -> Iterator[SweepRow]:
-    """Pass rows on unchanged, appending each failed one to `violations`."""
-    for row in rows:
-        if not row.ok:
-            violations.append(row)
-        yield row
-
-
-def _n_tally(n: int, max_d: int) -> tuple[int, list[SweepRow]]:
-    """(rows checked, violations) of one n."""
-    violations: list[SweepRow] = []
-    checked = sum(1 for _ in _collect_violations(_n_rows(n, max_d), violations))
-    return checked, violations
-
-
-def _over_n(fn, max_n: int, max_d: int, workers: int) -> Iterator:
-    """fn(n, max_d) for n = 1, ..., max_n in order; with workers > 1, over a process
-    pool that holds at most IN_FLIGHT_PER_WORKER * workers values of n in flight."""
-    if workers == 1:
-        yield from map(fn, range(1, max_n + 1), repeat(max_d))
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for n in range(1, max_n + 1):
-            pending.append(pool.submit(fn, n, max_d))
-            if len(pending) == IN_FLIGHT_PER_WORKER * workers:
-                yield pending.popleft().result()
-        yield from (future.result() for future in pending)
+                rows.append((n, m, d, c, brute, formula, closed, brute == formula == closed))
+    return rows
 
 
 def sweep_rows(max_n: int, max_d: int, jobs: int = 1) -> Iterator[SweepRow]:
     """Every check row, ordered by (n, d, c, m).  With jobs > 1 the values
     of n are spread over a process pool and their rows come back in order."""
-    workers = worker_count(jobs, max_n)
-    if workers == 1:
-        return chain.from_iterable(_over_n(_n_rows, max_n, max_d, 1))
-    blocks = _over_n(_n_block, max_n, max_d, workers)
-    return chain.from_iterable(map(SweepRow._make, block) for block in blocks)
+    blocks = ordered_map(partial(_n_rows, max_d=max_d), range(1, max_n + 1), jobs)
+    return map(SweepRow._make, chain.from_iterable(blocks))
 
 
 def verify_theorem2(
@@ -196,23 +155,22 @@ def verify_theorem2(
     csv_path: str | None = None,
 ) -> SweepReport:
     """Cross-check brute = formula = n/m over all n <= max_n, m | n, d <= max_d,
-    c in [0, d) prime to d, in one pass.  Violations are collected in
-    (n, d, c, m) order.  With `csv_path`, every row of `sweep_rows` is
-    streamed to that CSV as it is tallied; without it, a pool ships only
-    each n's count and violations.
+    c in [0, d) prime to d, in one pass over `sweep_rows`.  Violations are
+    collected in (n, d, c, m) order; with `csv_path`, every row is streamed
+    to that CSV as it is checked.
     """
     if max_n < 1 or max_d < 1:
         raise ValueError("sweep bounds must be positive")
     violations: list[SweepRow] = []
-    if csv_path is not None:
-        rows = _collect_violations(sweep_rows(max_n, max_d, jobs), violations)
-        checked = write_sweep_csv(csv_path, rows)
-    else:
-        checked = 0
-        for count, bad in _over_n(_n_tally, max_n, max_d, worker_count(jobs, max_n)):
-            checked += count
-            violations.extend(bad)
-    return SweepReport(max_n, max_d, checked, tuple(violations))
+
+    def checked() -> Iterator[SweepRow]:
+        for row in sweep_rows(max_n, max_d, jobs):
+            if not row.ok:
+                violations.append(row)
+            yield row
+
+    count = sum(1 for _ in checked()) if csv_path is None else write_sweep_csv(csv_path, checked())
+    return SweepReport(max_n, max_d, count, tuple(violations))
 
 
 SWEEP_CSV_HEADER = ("n", "m", "d", "c", "brute", "formula", "closed_form", "ok")

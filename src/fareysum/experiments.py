@@ -15,16 +15,16 @@ config produce byte-identical CSV and JSON.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 
 from .farey import require_reduced_c, satisfies_theorem1_premises
 from .knopp import Decomposition, decompose, deviation_profile
 from .numtheory import sigma
-from .pool import worker_count
+from .pool import ordered_map, worker_count
 
 GENERATOR_ID = "splitmix64"
 
@@ -112,8 +112,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown b_mode: {self.b_mode!r}")
         if not self.c_list:
             raise ValueError("c_list must not be empty")
-        for c in self.c_list:
+        for i, c in enumerate(self.c_list):
             require_reduced_c(c, self.d)
+            if c in self.c_list[:i]:
+                raise ValueError(f"c = {c} is repeated in c_list")
         object.__setattr__(self, "c_list", tuple(self.c_list))
 
 
@@ -222,14 +224,16 @@ def scan_b_values(config: ExperimentConfig) -> list[int]:
     ]
 
 
-def _scan_cell(args: tuple[ExperimentConfig, int, int]) -> ScanRecord:
-    config, c, b = args
-    a, reason = select_neighbour(b, c, config.d, config.n)
-    if a is None:
-        return ScanRecord(b, c, None, None, None, reason)
-    dec = decompose(a, b, c, config.d, config.n, require_theorem1=True)
-    m1, m2 = mean_deviations(dec)
-    return ScanRecord(b, c, a, m1, m2, RULED_OUT_NONE)
+def _scan_cells(cells: list[tuple[ExperimentConfig, int, int]]) -> list[ScanRecord]:
+    """The records of a run of (config, c, b) cells, in order."""
+    records = []
+    for config, c, b in cells:
+        a, reason = select_neighbour(b, c, config.d, config.n)
+        m1 = m2 = None
+        if a is not None:
+            m1, m2 = mean_deviations(decompose(a, b, c, config.d, config.n, require_theorem1=True))
+        records.append(ScanRecord(b, c, a, m1, m2, reason))
+    return records
 
 
 def _aggregate(config: ExperimentConfig, records: tuple[ScanRecord, ...]) -> tuple[ScanAggregate, ...]:
@@ -257,13 +261,11 @@ def run_scan(config: ExperimentConfig, jobs: int = 1) -> ScanReport:
     order whatever the execution schedule, so reports are deterministic."""
     bs = scan_b_values(config)
     cells = [(config, c, b) for c in config.c_list for b in bs]
+    # about eight runs of cells per worker, each run one task
     workers = worker_count(jobs, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(cells) // (8 * workers))
-            records = tuple(pool.map(_scan_cell, cells, chunksize=chunk))
-    else:
-        records = tuple(_scan_cell(cell) for cell in cells)
+    size = max(1, len(cells) // (8 * workers))
+    runs = [cells[i:i + size] for i in range(0, len(cells), size)]
+    records = tuple(chain.from_iterable(ordered_map(_scan_cells, runs, workers)))
     return ScanReport(config, GENERATOR_ID, records, _aggregate(config, records))
 
 

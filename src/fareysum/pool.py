@@ -1,12 +1,18 @@
-"""Worker-count bound shared by the scan and the counting sweep.
+"""The one process-pool driver, shared by the scan and the counting sweep.
 
 `ProcessPoolExecutor` under fork starts every worker up front, so a pool
-is never sized past the CPUs this process may run on or the work it has.
+is never sized past the CPUs this process may run on or the work it has;
+it holds a few tasks per worker in flight, so untaken results never pile up.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Iterator, Sequence
+
+IN_FLIGHT_PER_WORKER = 4
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -16,3 +22,20 @@ def worker_count(jobs: int, tasks: int) -> int:
     else:
         cpus = os.cpu_count() or 1
     return max(1, min(jobs, cpus, tasks))
+
+
+def ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
+    """fn(item) for every item, in input order.  With one worker it runs in
+    this process; otherwise over a pool of `worker_count(jobs, len(items))`
+    processes holding at most IN_FLIGHT_PER_WORKER tasks per worker in flight."""
+    workers = worker_count(jobs, len(items))
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == IN_FLIGHT_PER_WORKER * workers:
+                yield pending.popleft().result()
+        yield from (future.result() for future in pending)

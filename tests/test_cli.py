@@ -222,6 +222,27 @@ class TestScan:
         assert "wrote" not in out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.json"]
 
+    def test_one_path_for_both_reports_is_refused(self, capsys, tmp_path, monkeypatch):
+        # "same" and "./same" are one file: the JSON would silently replace the CSV
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1",
+            "--b-start", "100000001", "--b-count", "2", "--csv", "same", "--json", "./same",
+        )
+        assert code == 1
+        assert "two reports name the same file" in err
+        assert "wrote" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_c_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1,1",
+            "--b-start", "100000001", "--b-count", "3",
+        )
+        assert code == 1
+        assert "c = 1 is repeated" in err
+        assert out == ""
+
     def test_failed_scan_removes_temp_reports(self, capsys, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise ValueError("scan failed")

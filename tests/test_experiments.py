@@ -202,6 +202,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="c_list must not be empty"):
             ExperimentConfig(n=12, d=9, c_list=(), b_start=10, b_count=1)
 
+    def test_rejects_repeated_c(self):
+        # a repeated c would be scanned twice and reported in two #agg rows
+        with pytest.raises(ValueError, match=re.escape("c = 1 is repeated in c_list")):
+            ExperimentConfig(n=12, d=9, c_list=(1, 2, 1), b_start=10, b_count=1)
+
 
 class TestScan:
     def test_empty_scan(self):

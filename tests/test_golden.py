@@ -33,9 +33,14 @@ SCANS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCANS))
-def test_scan_reports_match_golden(name, tmp_path):
-    report = run_scan(SCANS[name])
+@pytest.mark.parametrize("name, jobs", [
+    # the serial cases keep their bare names; jobs=2 runs a real process
+    # pool wherever two CPUs are usable
+    pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs{jobs}")
+    for jobs in (1, 2) for name in sorted(SCANS)
+])
+def test_scan_reports_match_golden(name, jobs, tmp_path):
+    report = run_scan(SCANS[name], jobs=jobs)
     csv_path = tmp_path / "report.csv"
     json_path = tmp_path / "report.json"
     write_scan_csv(report, str(csv_path))

@@ -1,4 +1,4 @@
-"""Tests for the worker-count bound shared by the scan and the sweep.
+"""Tests for the process-pool driver shared by the scan and the sweep.
 
 No test here starts a process pool: `ProcessPoolExecutor` is replaced by a
 stand-in that records `max_workers` and runs every task in this process.
@@ -6,7 +6,7 @@ stand-in that records `max_workers` and runs every task in this process.
 
 import pytest
 
-from fareysum import counting, experiments, pool
+from fareysum import counting, pool
 from fareysum.experiments import ExperimentConfig, run_scan
 from fareysum.pool import worker_count
 
@@ -26,9 +26,6 @@ class RecordingPool:
 
     def __exit__(self, *exc):
         return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        return map(fn, *iterables)
 
     def submit(self, fn, *args):
         RecordingPool.in_flight += 1
@@ -51,8 +48,7 @@ class DoneFuture:
 def eight_cpus(monkeypatch):
     """Eight usable CPUs, and RecordingPool in place of every process pool."""
     monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.sizes = []
     RecordingPool.in_flight = RecordingPool.peak_in_flight = 0
 
@@ -82,6 +78,15 @@ class TestPoolSize:
         assert RecordingPool.sizes == [8]
         assert report == run_scan(config)
 
+    def test_scan_keeps_a_bounded_window_in_flight(self, eight_cpus):
+        # 40 cells over 2 workers make 20 runs of 2: at most 4 per worker wait at once
+        config = ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=10 ** 8 + 1, b_count=20)
+        report = run_scan(config, jobs=2)
+        assert RecordingPool.sizes == [2]
+        assert RecordingPool.peak_in_flight == pool.IN_FLIGHT_PER_WORKER * 2 == 8
+        assert RecordingPool.in_flight == 0
+        assert report == run_scan(config)
+
     def test_scan_of_one_cell_starts_no_pool(self, eight_cpus):
         config = ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10 ** 8 + 1, b_count=1)
         run_scan(config, jobs=4)
@@ -104,6 +109,6 @@ class TestPoolSize:
         path = str(tmp_path / "sweep.csv") if csv else None
         report = counting.verify_theorem2(40, 3, jobs=2, csv_path=path)
         assert RecordingPool.sizes == [2]
-        assert RecordingPool.peak_in_flight == counting.IN_FLIGHT_PER_WORKER * 2 == 8
+        assert RecordingPool.peak_in_flight == pool.IN_FLIGHT_PER_WORKER * 2 == 8
         assert RecordingPool.in_flight == 0
         assert report == counting.verify_theorem2(40, 3)
