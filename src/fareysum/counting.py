@@ -124,10 +124,9 @@ class SweepReport:
         return not self.violations
 
 
-def _n_rows(n: int, max_d: int) -> list[tuple]:
+def _n_rows(n: int, max_d: int) -> Iterator[tuple]:
     """The check rows of one n, in (d, c, m) order, as plain tuples, which
     cross a process pool far more cheaply than `SweepRow`s."""
-    rows = []
     divs = divisors(n)
     for d in range(1, max_d + 1):
         cs = [c for c in range(d) if gcd(c, d) == 1]
@@ -137,8 +136,7 @@ def _n_rows(n: int, max_d: int) -> list[tuple]:
             hist = multiplicity_histogram(n, c, d)
             for m, formula, closed in expected:
                 brute = hist[m]
-                rows.append((n, m, d, c, brute, formula, closed, brute == formula == closed))
-    return rows
+                yield n, m, d, c, brute, formula, closed, brute == formula == closed
 
 
 def sweep_rows(max_n: int, max_d: int, jobs: int = 1) -> Iterator[SweepRow]:

@@ -22,7 +22,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 
 from .farey import require_reduced_c, satisfies_theorem1_premises
-from .knopp import Decomposition, decompose, deviation_profile
+from .knopp import Decomposition, _deviation_pairs, decompose, deviation_profile, require_n_in_range
 from .numtheory import sigma
 from .pool import ordered_map, worker_count
 
@@ -106,6 +106,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive integers")
+        require_n_in_range(self.n)
         if self.b_start < 1 or self.b_count < 0:
             raise ValueError("b_start must be >= 1 and b_count >= 0")
         if self.b_mode not in (B_MODE_CONSECUTIVE, B_MODE_RANDOM):
@@ -192,24 +193,23 @@ def select_neighbour(b: int, c: int, d: int, n: int) -> tuple[int | None, str]:
     return None, (RULED_OUT_PREMISES if saw_coprime else RULED_OUT_GCD)
 
 
-def _integer_sum(values: list[Fraction]) -> tuple[int, int]:
-    """(numerator, denominator) of the sum, over the lcm of the denominators;
-    left unreduced so the caller builds a single `Fraction`."""
-    den = lcm(*(v.denominator for v in values))
-    return sum(v.numerator * (den // v.denominator) for v in values), den
-
-
 def mean_deviations(dec: Decomposition) -> tuple[Fraction, Fraction]:
-    """(M1, M2): mean deviation over all sigma(n) terms / over the n terms with m = 1."""
-    devs = deviation_profile(dec)
-    ones = [v for (_, _, m, v) in devs if m == 1]
+    """(M1, M2): mean deviation over all sigma(n) terms / over the n terms with m = 1.
+
+    Each mean is one `Fraction`, summed from the terms' exact integer pairs
+    over the lcm of their denominators.
+    """
+    devs = list(_deviation_pairs(dec))
+    ones = [dev for dev in devs if dev[0].m == 1]
     if len(ones) != dec.n:
         raise ValueError(
             f"{len(ones)} terms have m = 1, expected exactly n = {dec.n}"
         )
-    num1, den1 = _integer_sum([v for (_, _, _, v) in devs])
-    num2, den2 = _integer_sum(ones)
-    return Fraction(num1, den1 * sigma(dec.n)), Fraction(num2, den2 * dec.n)
+    means = []
+    for group, size in ((devs, sigma(dec.n)), (ones, dec.n)):
+        den = lcm(*(y for _, _, y in group))
+        means.append(Fraction(sum(x * (den // y) for _, x, y in group), den * size))
+    return means[0], means[1]
 
 
 def scan_b_values(config: ExperimentConfig) -> list[int]:
@@ -231,7 +231,8 @@ def _scan_cells(cells: list[tuple[ExperimentConfig, int, int]]) -> list[ScanReco
         a, reason = select_neighbour(b, c, config.d, config.n)
         m1 = m2 = None
         if a is not None:
-            m1, m2 = mean_deviations(decompose(a, b, c, config.d, config.n, require_theorem1=True))
+            # select_neighbour has just checked the theorem 1 premises for this a
+            m1, m2 = mean_deviations(decompose(a, b, c, config.d, config.n))
         records.append(ScanRecord(b, c, a, m1, m2, reason))
     return records
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterator, NamedTuple
 
 from .dedekind import dedekind_fast
 from .farey import FareyContext, PremiseError, theorem1_premise_failure
@@ -25,9 +26,14 @@ from .numtheory import divisors, require_coprime, sigma
 N_LIMIT = 10 ** 4
 
 
-@dataclass(frozen=True)
-class KnoppTerm:
-    """One (r, j) term of a decomposition."""
+def require_n_in_range(n: int) -> None:
+    """The decomposition order n must lie in [1, N_LIMIT]."""
+    if not 1 <= n <= N_LIMIT:
+        raise ValueError(f"n must lie in [1, {N_LIMIT}], got {n}")
+
+
+class KnoppTerm(NamedTuple):
+    """One (r, j) term of a decomposition (immutable)."""
 
     r: int
     j: int
@@ -67,8 +73,7 @@ def decompose(
     """
     if b < 1 or d < 1:
         raise ValueError("b and d must be positive integers")
-    if not 1 <= n <= N_LIMIT:
-        raise ValueError(f"n must lie in [1, {N_LIMIT}], got {n}")
+    require_n_in_range(n)
     require_coprime(c, d, "c/d must be reduced")
     q = a * d - b * c
     if q == 0:
@@ -80,21 +85,23 @@ def decompose(
     base_sum = 12 * dedekind_fast(a, b)
     base_expected = Fraction(b, d * q)
     ndq = n * d * q
+    expected = {}  # E[r, j] depends on m alone
     terms = []
     for r in divisors(n):
-        nr = n // r
+        rb, rd = r * b, r * d
+        num_a, num_c = (n // r) * a, (n // r) * c  # (n/r) a + j b and (n/r) c + j d at j = 0
         for j in range(r):
-            num_a = nr * a + j * b
-            num_c = nr * c + j * d
-            rb = r * b
-            rd = r * d
             k = gcd(num_a, rb)
             m = gcd(num_c, rd)
-            reduced = (num_a // k, rb // k, num_c // m, rd // m)
-            sum_value = 12 * dedekind_fast(num_a, rb)
-            expected = Fraction(m * m * b, ndq)
-            q_prime = reduced[0] * reduced[3] - reduced[1] * reduced[2]
-            terms.append(KnoppTerm(r, j, k, m, reduced, sum_value, expected, q_prime))
+            a1, b1, c1, d1 = num_a // k, rb // k, num_c // m, rd // m
+            s = dedekind_fast(num_a, rb)
+            e = expected.get(m)
+            if e is None:
+                e = expected[m] = Fraction(m * m * b, ndq)
+            terms.append(KnoppTerm(r, j, k, m, (a1, b1, c1, d1),
+                                   Fraction(12 * s.numerator, s.denominator), e, a1 * d1 - b1 * c1))
+            num_a += b
+            num_c += d
     return Decomposition(n, a, b, c, d, q, base_sum, base_expected, tuple(terms))
 
 
@@ -109,23 +116,23 @@ def verify_identity(dec: Decomposition) -> bool:
     return identity_discrepancy(dec) == 0
 
 
-def deviation_profile(dec: Decomposition) -> list[tuple[int, int, int, Fraction]]:
-    """Per-term (r, j, m, |S[r,j]/E[r,j] - 1|), in the decomposition's order.
+def _deviation_pairs(dec: Decomposition) -> Iterator[tuple[KnoppTerm, int, int]]:
+    """Per term, (term, x, y) with |S[r,j]/E[r,j] - 1| = x / y, y > 0, unreduced.
 
-    With S = s/s' and E = e/e', the deviation is |s e' - s' e| / |s' e|,
-    built as one `Fraction` straight from those integers.
+    With S = s/s_den and E = e/e_den, x = |s e_den - s_den e| and
+    y = |s_den e|; e < 0 when q < 0, hence the abs on y.
     """
-    out = []
     for t in dec.terms:
-        s, e = t.sum_value, t.expected
+        s, s_den = t.sum_value.as_integer_ratio()
+        e, e_den = t.expected.as_integer_ratio()
         if not e:
             raise ValueError(f"expected value is zero at (r={t.r}, j={t.j})")
-        deviation = Fraction(
-            abs(s.numerator * e.denominator - s.denominator * e.numerator),
-            abs(s.denominator * e.numerator),
-        )
-        out.append((t.r, t.j, t.m, deviation))
-    return out
+        yield t, abs(s * e_den - s_den * e), abs(s_den * e)
+
+
+def deviation_profile(dec: Decomposition) -> list[tuple[int, int, int, Fraction]]:
+    """Per-term (r, j, m, |S[r,j]/E[r,j] - 1|), in the decomposition's order."""
+    return [(t.r, t.j, t.m, Fraction(x, y)) for t, x, y in _deviation_pairs(dec)]
 
 
 def three_term_residual(ctx: FareyContext) -> Fraction:

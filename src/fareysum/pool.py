@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 IN_FLIGHT_PER_WORKER = 4
 
@@ -24,10 +24,17 @@ def worker_count(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, cpus, tasks))
 
 
-def ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
-    """fn(item) for every item, in input order.  With one worker it runs in
-    this process; otherwise over a pool of `worker_count(jobs, len(items))`
-    processes holding at most IN_FLIGHT_PER_WORKER tasks per worker in flight."""
+def _listed(fn: Callable, item) -> list:
+    """A pooled task: fn(item) as a list, since a generator cannot be pickled back."""
+    return list(fn(item))
+
+
+def ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator[Iterable]:
+    """fn(item) for every item, in input order, where fn returns an iterable.
+    With one worker it runs in this process and each result is passed on as
+    fn returned it; otherwise over a pool of `worker_count(jobs, len(items))`
+    processes holding at most IN_FLIGHT_PER_WORKER tasks per worker in flight,
+    and each result crosses back as a list."""
     workers = worker_count(jobs, len(items))
     if workers == 1:
         yield from map(fn, items)
@@ -35,7 +42,7 @@ def ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for item in items:
-            pending.append(pool.submit(fn, item))
+            pending.append(pool.submit(_listed, fn, item))
             if len(pending) == IN_FLIGHT_PER_WORKER * workers:
                 yield pending.popleft().result()
         yield from (future.result() for future in pending)

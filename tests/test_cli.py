@@ -243,6 +243,17 @@ class TestScan:
         assert "c = 1 is repeated" in err
         assert out == ""
 
+    @pytest.mark.parametrize("b_start", ["5", "2000000000000000"])
+    def test_n_above_limit_is_refused_whatever_b(self, capsys, b_start):
+        # at b = 5 every cell is ruled out, so no decomposition would refuse n
+        code, out, err = run(
+            capsys, "scan", "--n", "10001", "--d", "1", "--c", "0",
+            "--b-start", b_start, "--b-count", "3",
+        )
+        assert code == 1
+        assert "n must lie in [1, 10000], got 10001" in err
+        assert out == ""
+
     def test_failed_scan_removes_temp_reports(self, capsys, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise ValueError("scan failed")

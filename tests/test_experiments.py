@@ -31,8 +31,24 @@ from fareysum.experiments import (
     write_scan_csv,
     write_scan_json,
 )
-from fareysum.farey import satisfies_theorem1_premises
-from fareysum.knopp import decompose
+from fareysum.farey import satisfies_theorem1_premises, theorem1_premise_failure
+from fareysum.knopp import decompose, deviation_profile
+from fareysum.numtheory import sigma
+
+
+def seeded_cells(n, d, c_list, lo, seed, per_c=2):
+    """Decompositions of `per_c` retained cells per c, b drawn from [lo, 10 lo)."""
+    rng = random.Random(seed)
+    decs = []
+    for c in c_list:
+        kept = 0
+        while kept < per_c:
+            b = rng.randrange(lo, 10 * lo)
+            a, _ = select_neighbour(b, c, d, n)
+            if a is not None:
+                decs.append(decompose(a, b, c, d, n))
+                kept += 1
+    return decs
 
 
 class TestFormatting:
@@ -163,7 +179,7 @@ class TestMeanDeviations:
     def test_zero_when_sums_equal_expected(self):
         dec = decompose(3504214, 31537789, 1, 9, 12)
         forced = tuple(
-            dataclasses.replace(t, sum_value=t.expected) for t in dec.terms
+            t._replace(sum_value=t.expected) for t in dec.terms
         )
         exact = dataclasses.replace(dec, terms=forced)
         assert mean_deviations(exact) == (0, 0)
@@ -171,10 +187,28 @@ class TestMeanDeviations:
     def test_m1_count_guard(self):
         dec = decompose(3504214, 31537789, 1, 9, 12)
         assert dec.terms[0].m == 3  # term (1, 0); forcing m = 1 breaks the count
-        forced = dataclasses.replace(dec.terms[0], m=1)
+        forced = dec.terms[0]._replace(m=1)
         mutated = dataclasses.replace(dec, terms=(forced,) + dec.terms[1:])
         with pytest.raises(ValueError):
             mean_deviations(mutated)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: [decompose(3504214, 31537789, 1, 9, 12)], id="worked_example"),
+        pytest.param(lambda: [decompose(2, 7, 1, 2, 6)], id="q_negative_n6"),
+        pytest.param(lambda: [decompose(1, 101, 1, 9, 12)], id="q_negative_n12"),
+        pytest.param(lambda: seeded_cells(12, 9, (1, 2, 4, 5, 7, 8), 10 ** 8, 8), id="table_1e8"),
+        pytest.param(lambda: seeded_cells(30, 7, (1, 2, 3), 10 ** 15, 15), id="wide_1e15"),
+    ])
+    def test_integer_sums_match_the_fraction_oracle(self, build):
+        # the oracle divides S by E as Fractions, so it shares no integer
+        # pair with the code under test; q < 0 makes every E negative
+        for dec in build():
+            devs = [abs(t.sum_value / t.expected - 1) for t in dec.terms]
+            assert [v for (_, _, _, v) in deviation_profile(dec)] == devs
+            ones = [v for t, v in zip(dec.terms, devs) if t.m == 1]
+            expected = (sum(devs, Fraction(0)) / sigma(dec.n), sum(ones, Fraction(0)) / dec.n)
+            assert mean_deviations(dec) == expected
+            assert min(expected) >= 0
 
     def test_unit_m_count_is_n(self):
         rng = random.Random(101)
@@ -201,6 +235,12 @@ class TestConfigValidation:
     def test_rejects_empty_c_list(self):
         with pytest.raises(ValueError, match="c_list must not be empty"):
             ExperimentConfig(n=12, d=9, c_list=(), b_start=10, b_count=1)
+
+    def test_rejects_n_above_limit(self):
+        # refused up front, not only once a retained cell is decomposed
+        with pytest.raises(ValueError, match=re.escape("n must lie in [1, 10000], got 10001")):
+            ExperimentConfig(n=10001, d=1, c_list=(0,), b_start=5, b_count=3)
+        assert ExperimentConfig(n=10000, d=1, c_list=(0,), b_start=5, b_count=3).n == 10000
 
     def test_rejects_repeated_c(self):
         # a repeated c would be scanned twice and reported in two #agg rows
@@ -236,6 +276,19 @@ class TestScan:
                 assert rec.m1 > 0 and rec.m2 > 0
             else:
                 assert rec.a is None and rec.m1 is None and rec.m2 is None
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(n=12, d=9, c_list=(1, 2, 4, 5, 7, 8), b_start=10 ** 8 + 1, b_count=20),
+        ExperimentConfig(n=30, d=7, c_list=(1, 2, 3), b_start=10 ** 15, b_count=4,
+                         b_mode=B_MODE_RANDOM, rng_seed=5),
+    ], ids=["table_1e8", "wide_1e15"])
+    def test_retained_records_meet_theorem1_premises(self, cfg):
+        # the scan decomposes without re-checking: select_neighbour's check must hold
+        report = run_scan(cfg)
+        kept = [r for r in report.records if r.ruled_out_reason == RULED_OUT_NONE]
+        assert kept
+        for rec in kept:
+            assert theorem1_premise_failure(rec.b, rec.c, cfg.d, rec.a, cfg.n) is None
 
     def test_aggregate_counts_match_records(self):
         cfg = ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10 ** 8 + 1, b_count=60)

@@ -30,6 +30,11 @@ SCANS = {
         n=12, d=9, c_list=(1, 2), b_start=10 ** 7 + 19, b_count=40,
         b_mode=B_MODE_RANDOM, rng_seed=20250809,
     ),
+    # 72-term cells with b' around 1e16, as in the wide benchmark workload
+    "scan_1e15_w10": ExperimentConfig(
+        n=30, d=7, c_list=(1, 2, 3), b_start=10 ** 15, b_count=10,
+        b_mode=B_MODE_RANDOM, rng_seed=7,
+    ),
 }
 
 

@@ -53,6 +53,13 @@ class TestDecompose:
         assert special.m == 1
         assert special.expected == dec.base_expected / 12
 
+    def test_terms_are_immutable(self):
+        term = decompose(3504214, 31537789, 1, 9, 12).terms[0]
+        with pytest.raises(AttributeError):
+            term.sum_value = term.expected
+        with pytest.raises(AttributeError):
+            term.m = 1
+
     def test_term_count_is_sigma(self):
         for n in range(1, 201):
             dec = decompose(3, 7, 0, 1, n)
@@ -135,7 +142,7 @@ class TestVerifyIdentity:
 
     def test_mutation_is_detected(self):
         dec = decompose(3, 7, 0, 1, 6)
-        bad_term = dataclasses.replace(dec.terms[2], sum_value=dec.terms[2].sum_value + 1)
+        bad_term = dec.terms[2]._replace(sum_value=dec.terms[2].sum_value + 1)
         mutated = dataclasses.replace(
             dec, terms=dec.terms[:2] + (bad_term,) + dec.terms[3:]
         )
@@ -156,13 +163,13 @@ class TestDeviationProfile:
 
     def test_exact_match_gives_zero(self):
         dec = decompose(3504214, 31537789, 1, 9, 12)
-        forced = dataclasses.replace(dec.terms[0], sum_value=dec.terms[0].expected)
+        forced = dec.terms[0]._replace(sum_value=dec.terms[0].expected)
         mutated = dataclasses.replace(dec, terms=(forced,) + dec.terms[1:])
         assert deviation_profile(mutated)[0][3] == 0
 
     def test_rejects_zero_expected(self):
         dec = decompose(3, 7, 0, 1, 2)
-        broken = dataclasses.replace(dec.terms[0], expected=Fraction(0))
+        broken = dec.terms[0]._replace(expected=Fraction(0))
         mutated = dataclasses.replace(dec, terms=(broken,) + dec.terms[1:])
         with pytest.raises(ValueError):
             deviation_profile(mutated)
