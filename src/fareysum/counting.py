@@ -18,8 +18,9 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .farey import require_reduced_c
@@ -57,6 +58,12 @@ def lemma1_count(r: int, d: int, s: int) -> int:
     return part * euler_phi(r // part)
 
 
+def require_enumerable(n: int) -> None:
+    """Brute enumeration of the sigma(n) pairs runs only for n <= BRUTE_LIMIT."""
+    if n > BRUTE_LIMIT:
+        raise ValueError(f"enumeration refused: n = {n} exceeds {BRUTE_LIMIT}")
+
+
 def multiplicity_histogram(n: int, c: int, d: int) -> Counter:
     """Tally of m(r, j) over all r | n, 0 <= j < r (sigma(n) pairs in total)."""
     return Counter(chain.from_iterable(
@@ -67,8 +74,7 @@ def multiplicity_histogram(n: int, c: int, d: int) -> Counter:
 
 def count_A_brute(query: CountingQuery) -> int:
     """A(n, m) by direct enumeration of all sigma(n) pairs (r, j)."""
-    if query.n > BRUTE_LIMIT:
-        raise ValueError(f"enumeration refused: n = {query.n} exceeds {BRUTE_LIMIT}")
+    require_enumerable(query.n)
     return multiplicity_histogram(query.n, query.c, query.d)[query.m]
 
 
@@ -98,7 +104,8 @@ def verify_lemma3(n1: int, n2: int, m: int, c: int, d: int) -> bool:
 
 
 class SweepRow(NamedTuple):
-    """One (n, m, d, c) check of brute force vs formula vs n/m."""
+    """One (n, m, d, c) check of brute force vs formula vs n/m; ok is 1 if
+    all three agree and 0 if not, as the CSV writes it."""
 
     n: int
     m: int
@@ -107,7 +114,7 @@ class SweepRow(NamedTuple):
     brute: int
     formula: int
     closed_form: int
-    ok: bool
+    ok: int
 
 
 @dataclass(frozen=True)
@@ -124,26 +131,38 @@ class SweepReport:
         return not self.violations
 
 
-def _n_rows(n: int, max_d: int) -> Iterator[tuple]:
-    """The check rows of one n, in (d, c, m) order, as plain tuples, which
-    cross a process pool far more cheaply than `SweepRow`s."""
+def _n_rows(n: int, max_d: int) -> Iterator[list[tuple]]:
+    """The check rows of one n, one block per d, each in (c, m) order.  A row
+    is a plain tuple with the fields of `SweepRow`, which crosses a process
+    pool and reaches the CSV writer far more cheaply than a `SweepRow`."""
     divs = divisors(n)
     for d in range(1, max_d + 1):
         cs = [c for c in range(d) if gcd(c, d) == 1]
         # the formula does not depend on c, so compute it once per (n, d, m)
         expected = [(m, count_A_formula(CountingQuery(n, m, cs[0], d)), n // m) for m in divs]
+        block = []
         for c in cs:
             hist = multiplicity_histogram(n, c, d)
-            for m, formula, closed in expected:
-                brute = hist[m]
-                yield n, m, d, c, brute, formula, closed, brute == formula == closed
+            block += [(n, m, d, c, (brute := hist[m]), formula, closed,
+                       1 if brute == formula == closed else 0)
+                      for m, formula, closed in expected]
+        yield block
+
+
+def _sweep_blocks(max_n: int, max_d: int, jobs: int) -> Iterator[list[tuple]]:
+    """Every row block of the sweep, ordered by (n, d).  The bounds are
+    checked here, before any work starts."""
+    if max_n < 1 or max_d < 1:
+        raise ValueError("sweep bounds must be positive")
+    require_enumerable(max_n)
+    return chain.from_iterable(
+        ordered_map(partial(_n_rows, max_d=max_d), range(1, max_n + 1), jobs))
 
 
 def sweep_rows(max_n: int, max_d: int, jobs: int = 1) -> Iterator[SweepRow]:
     """Every check row, ordered by (n, d, c, m).  With jobs > 1 the values
     of n are spread over a process pool and their rows come back in order."""
-    blocks = ordered_map(partial(_n_rows, max_d=max_d), range(1, max_n + 1), jobs)
-    return map(SweepRow._make, chain.from_iterable(blocks))
+    return map(SweepRow._make, chain.from_iterable(_sweep_blocks(max_n, max_d, jobs)))
 
 
 def verify_theorem2(
@@ -153,34 +172,36 @@ def verify_theorem2(
     csv_path: str | None = None,
 ) -> SweepReport:
     """Cross-check brute = formula = n/m over all n <= max_n, m | n, d <= max_d,
-    c in [0, d) prime to d, in one pass over `sweep_rows`.  Violations are
-    collected in (n, d, c, m) order; with `csv_path`, every row is streamed
-    to that CSV as it is checked.
+    c in [0, d) prime to d, in one pass over the sweep's row blocks.  Only a
+    violation becomes a `SweepRow`; violations are collected in (n, d, c, m)
+    order.  With `csv_path`, every row is streamed to that CSV as it is checked.
     """
-    if max_n < 1 or max_d < 1:
-        raise ValueError("sweep bounds must be positive")
+    blocks = _sweep_blocks(max_n, max_d, jobs)
     violations: list[SweepRow] = []
 
-    def checked() -> Iterator[SweepRow]:
-        for row in sweep_rows(max_n, max_d, jobs):
-            if not row.ok:
-                violations.append(row)
-            yield row
+    def checked() -> Iterator[list[tuple]]:
+        for block in blocks:
+            if not all(map(itemgetter(-1), block)):
+                violations.extend(SweepRow._make(row) for row in block if not row[-1])
+            yield block
 
-    count = sum(1 for _ in checked()) if csv_path is None else write_sweep_csv(csv_path, checked())
-    return SweepReport(max_n, max_d, count, tuple(violations))
+    if csv_path is None:
+        rows_checked = sum(map(len, checked()))
+    else:
+        rows_checked = write_sweep_csv(csv_path, chain.from_iterable(checked()))
+    return SweepReport(max_n, max_d, rows_checked, tuple(violations))
 
 
 SWEEP_CSV_HEADER = ("n", "m", "d", "c", "brute", "formula", "closed_form", "ok")
 
 
-def write_sweep_csv(path: str, rows: Iterable[SweepRow]) -> int:
-    """Stream sweep rows to CSV; returns the number of rows written."""
-    written = 0
+def write_sweep_csv(path: str, rows: Iterable[tuple]) -> int:
+    """Stream sweep rows (`SweepRow`s or tuples of the same fields, ok as
+    1/0) to CSV; returns the number of rows written."""
+    tally = count()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_HEADER)
-        for row in rows:
-            writer.writerow((*row[:7], int(row.ok)))
-            written += 1
-    return written
+        # zip advances the tally once per row, inside writerows' own loop
+        writer.writerows(map(itemgetter(0), zip(rows, tally)))
+    return next(tally)

@@ -85,9 +85,12 @@ def sigma(n: int) -> int:
     return total
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+@lru_cache(maxsize=1 << 14)
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors of n, ascending.  Cached, and a tuple so that no
+    caller can change the value every later caller gets; the cache covers
+    every n up to the sweep's and the decomposition's limit of 10^4."""
     divs = [1]
     for p, e in factorize(n):
         divs = [q * p ** k for q in divs for k in range(e + 1)]
-    return sorted(divs)
+    return tuple(sorted(divs))

@@ -149,6 +149,14 @@ class TestVerifyCounting:
         assert "wrote" not in out
         assert list(tmp_path.iterdir()) == []
 
+    def test_n_above_brute_cap_is_refused_and_leaves_no_csv(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify-counting", "--max-n", "10001", "--max-d", "1",
+                             "--csv", str(tmp_path / "rows.csv"))
+        assert code == 1
+        assert err == "fareysum: error: enumeration refused: n = 10001 exceeds 10000\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_violations_exit_two(self, capsys, monkeypatch):
         from fareysum.counting import SweepReport, SweepRow
 

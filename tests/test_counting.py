@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from fareysum import counting
 from fareysum.counting import (
     CountingQuery,
     count_A_brute,
@@ -186,6 +187,66 @@ class TestTheorem2Sweep:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             verify_theorem2(0, 10)
+
+    def test_brute_cap_is_checked_before_any_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no histogram may be built past the cap")
+
+        monkeypatch.setattr(counting, "multiplicity_histogram", refuse)
+        for sweep in (verify_theorem2, sweep_rows):
+            with pytest.raises(ValueError, match="enumeration refused: n = 10001 exceeds 10000"):
+                sweep(10 ** 4 + 1, 1)
+        with pytest.raises(ValueError, match="enumeration refused: n = 10001 exceeds 10000"):
+            count_A_brute(CountingQuery(10 ** 4 + 1, 1, 0, 1))
+
+
+class TestSweepViolations:
+    """The block consumer, fed a formula that is wrong for every m = 3."""
+
+    MAX_N, MAX_D = 12, 4
+
+    @pytest.fixture
+    def wrong_for_m3(self, monkeypatch):
+        formula = counting.count_A_formula
+        # pool workers are forked, so they see the patched formula too
+        monkeypatch.setattr(counting, "count_A_formula",
+                            lambda query: formula(query) + (query.m == 3))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("with_csv", [False, True])
+    def test_every_run_reports_the_same_violations(self, wrong_for_m3, jobs, with_csv, tmp_path):
+        path = str(tmp_path / "sweep.csv") if with_csv else None
+        report = verify_theorem2(self.MAX_N, self.MAX_D, jobs=jobs, csv_path=path)
+        keys = [(n, 3, d, c) for n in range(3, self.MAX_N + 1, 3)
+                for d in range(1, self.MAX_D + 1) for c in range(d) if gcd(c, d) == 1]
+        assert [(v.n, v.m, v.d, v.c) for v in report.violations] == keys
+        assert all(v.brute == v.closed_form == v.n // 3 == v.formula - 1 and v.ok == 0
+                   for v in report.violations)
+        assert report.rows_checked == sum(
+            len(divisors(n)) * sum(1 for c in range(d) if gcd(c, d) == 1)
+            for n in range(1, self.MAX_N + 1) for d in range(1, self.MAX_D + 1))
+        assert report == verify_theorem2(self.MAX_N, self.MAX_D)
+        if with_csv:
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == report.rows_checked
+            assert {row["ok"] for row in rows} == {"0", "1"}
+            bad = [tuple(int(row[k]) for k in ("n", "m", "d", "c")) for row in rows if row["ok"] == "0"]
+            assert bad == keys
+
+    def test_brute_and_formula_must_also_equal_n_over_m(self, wrong_for_m3, monkeypatch):
+        histogram = counting.multiplicity_histogram
+
+        def also_wrong_for_m3(n, c, d):
+            hist = histogram(n, c, d)
+            if n % 3 == 0:
+                hist[3] += 1
+            return hist
+
+        monkeypatch.setattr(counting, "multiplicity_histogram", also_wrong_for_m3)
+        report = verify_theorem2(self.MAX_N, self.MAX_D)
+        assert {(v.n, v.m) for v in report.violations} == {(3, 3), (6, 3), (9, 3), (12, 3)}
+        assert all(v.brute == v.formula == v.closed_form + 1 for v in report.violations)
 
 
 class TestSweepCsv:

@@ -112,7 +112,7 @@ class TestMultiplicativeFunctions:
     def test_identity_cases(self):
         assert euler_phi(1) == 1
         assert sigma(1) == 1
-        assert divisors(1) == [1]
+        assert divisors(1) == (1,)
 
     def test_sigma_partial_sums(self):
         # against the divisor-list oracle; the total through 12 is 127
@@ -123,7 +123,16 @@ class TestMultiplicativeFunctions:
 
     def test_divisors_brute_force(self):
         for n in range(1, 200):
-            assert divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
+            assert divisors(n) == tuple(k for k in range(1, n + 1) if n % k == 0)
+
+    def test_cached_divisors_cannot_be_changed(self):
+        first = divisors(36)
+        with pytest.raises(TypeError):
+            first[0] = 5
+        with pytest.raises(AttributeError):
+            first.append(72)
+        assert divisors(36) is first
+        assert first == (1, 2, 3, 4, 6, 9, 12, 18, 36)
 
     def test_phi_brute_force(self):
         for n in range(1, 200):
