@@ -143,24 +143,13 @@ def _atomic_reports(*paths: str | None):
 
 
 def _term_rows(dec) -> list[dict]:
-    rows = []
-    for t, (_, _, _, deviation) in zip(dec.terms, knopp.deviation_profile(dec)):
-        rows.append(
-            {
-                "r": t.r,
-                "j": t.j,
-                "k": t.k,
-                "m": t.m,
-                "a_prime": t.reduced[0],
-                "b_prime": t.reduced[1],
-                "c_prime": t.reduced[2],
-                "d_prime": t.reduced[3],
-                "sum_value": format_decimal(t.sum_value),
-                "expected": format_decimal(t.expected),
-                "deviation": format_decimal(deviation),
-            }
-        )
-    return rows
+    return [
+        {"r": t.r, "j": t.j, "k": t.k, "m": t.m,
+         **dict(zip(("a_prime", "b_prime", "c_prime", "d_prime"), t.reduced)),
+         "sum_value": format_decimal(t.sum_value), "expected": format_decimal(t.expected),
+         "deviation": format_decimal(deviation)}
+        for t, (_, _, _, deviation) in zip(dec.terms, knopp.deviation_profile(dec))
+    ]
 
 
 def _cmd_decompose(args) -> int:
@@ -176,12 +165,9 @@ def _cmd_decompose(args) -> int:
         return EXIT_OK
     print(f"S({dec.a}, {dec.b}) = {format_decimal(dec.base_sum)}   "
           f"E = {format_decimal(dec.base_expected)}   q = {dec.q}   sigma-terms: {len(dec.terms)}")
-    header = f"{'r':>5} {'j':>5} {'k':>5} {'m':>5} {'a_prime':>12} {'b_prime':>14} {'c_prime':>8} {'d_prime':>8} {'S[r,j]':>18} {'E[r,j]':>18} {'deviation':>14}"
-    print(header)
-    for row in rows:
-        print(f"{row['r']:>5} {row['j']:>5} {row['k']:>5} {row['m']:>5} "
-              f"{row['a_prime']:>12} {row['b_prime']:>14} {row['c_prime']:>8} {row['d_prime']:>8} "
-              f"{row['sum_value']:>18} {row['expected']:>18} {row['deviation']:>14}")
+    header = ("r", "j", "k", "m", "a_prime", "b_prime", "c_prime", "d_prime", "S[r,j]", "E[r,j]", "deviation")
+    for line in [header] + [row.values() for row in rows]:
+        print(" ".join(f"{v:>{w}}" for v, w in zip(line, (5, 5, 5, 5, 12, 14, 8, 8, 18, 18, 14))))
     return EXIT_OK
 
 

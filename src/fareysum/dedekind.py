@@ -10,8 +10,9 @@ cap.  The fast path is the integer continued-fraction form: for
     12 s(a, b) = sum_i (-1)^(i+1) q_i + (a + a*) / b - (3 if t is odd else 1)
 
 (Hickerson, J. reine angew. Math. 290 (1977); Knuth, TAOCP vol. 2,
-section 3.3.3; Rademacher-Grosswald, *Dedekind Sums* (1972)).  It runs in
-O(log b) integer steps, builds one `Fraction` per call, and agrees with
+section 3.3.3; Rademacher-Grosswald, *Dedekind Sums* (1972)).  The Euclid
+pass also yields a*, with no second pass through `pow(a, -1, b)`; it runs
+in O(log b) integer steps, builds one `Fraction` per call, and agrees with
 the oracle bit for bit.
 """
 
@@ -47,8 +48,8 @@ def dedekind_fast(a: int, b: int) -> Fraction:
 
     Imprimitive input reduces first via s(ag, bg) = s(a, b).  The loop runs
     Euclid on (b, a) two steps at a time, accumulating the alternating sum
-    of the partial quotients; it leaves through the first exit when the
-    step count t is odd and through the second when t is even.
+    of the partial quotients and a's coefficients; it leaves through the
+    first exit when t is odd and through the second when t is even.
     """
     if b < 1:
         raise ValueError("b must be a positive integer")
@@ -59,17 +60,20 @@ def dedekind_fast(a: int, b: int) -> Fraction:
     a, b = a // g, b // g
     alternating = 0
     x, y = b, a
+    ux, uy = 0, 1  # x = -ux a and y = uy a (mod b)
     while True:
         q = x // y
         x -= q * y
         alternating += q
-        if not x:
-            correction = 3
+        if not x:  # y = 1 = uy a
+            correction, inverse = 3, uy % b
             break
+        ux += q * uy
         q = y // x
         y -= q * x
         alternating -= q
-        if not y:
-            correction = 1
+        if not y:  # x = 1 = -ux a
+            correction, inverse = 1, -ux % b
             break
-    return Fraction((alternating - correction) * b + a + pow(a, -1, b), 12 * b)
+        uy += q * ux
+    return Fraction((alternating - correction) * b + a + inverse, 12 * b)

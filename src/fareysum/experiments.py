@@ -199,16 +199,16 @@ def mean_deviations(dec: Decomposition) -> tuple[Fraction, Fraction]:
     Each mean is one `Fraction`, summed from the terms' exact integer pairs
     over the lcm of their denominators.
     """
-    devs = list(_deviation_pairs(dec))
-    ones = [dev for dev in devs if dev[0].m == 1]
+    devs = _deviation_pairs(dec)
+    ones = [dev for dev in devs if dev[2] == 1]
     if len(ones) != dec.n:
         raise ValueError(
             f"{len(ones)} terms have m = 1, expected exactly n = {dec.n}"
         )
     means = []
     for group, size in ((devs, sigma(dec.n)), (ones, dec.n)):
-        den = lcm(*(y for _, _, y in group))
-        means.append(Fraction(sum(x * (den // y) for _, x, y in group), den * size))
+        den = lcm(*(y for _, _, _, _, y in group))
+        means.append(Fraction(sum(x * (den // y) for _, _, _, x, y in group), den * size))
     return means[0], means[1]
 
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .dedekind import dedekind_fast
 from .farey import FareyContext, PremiseError, theorem1_premise_failure
@@ -47,7 +48,12 @@ class KnoppTerm(NamedTuple):
 
 @dataclass(frozen=True)
 class Decomposition:
-    """All sigma(n) terms of S(a, b) relative to the Farey data (c, d)."""
+    """All sigma(n) terms of S(a, b) relative to the Farey data (c, d).
+
+    `rows` holds each term as integers (r, j, k, m, a', b', c', d', N) with
+    S[r, j] = N / b', ordered by (r ascending, j ascending); `terms` renders
+    them as `KnoppTerm`s once, on first use.
+    """
 
     n: int
     a: int
@@ -56,14 +62,23 @@ class Decomposition:
     d: int
     q: int  # ad - bc
     base_sum: Fraction  # S(a, b)
-    base_expected: Fraction  # E(a, b) = b / (d q)
-    terms: tuple[KnoppTerm, ...]  # ordered by (r ascending, j ascending)
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def base_expected(self) -> Fraction:  # E(a, b) = b / (d q)
+        return Fraction(self.b, self.d * self.q)
+
+    @cached_property
+    def terms(self) -> tuple[KnoppTerm, ...]:
+        e = Fraction(self.b, self.n * self.d * self.q)  # E[r, j] = m^2 e
+        return tuple(KnoppTerm(r, j, k, m, (a1, b1, c1, d1), Fraction(num, b1), m * m * e, a1 * d1 - b1 * c1)
+                     for r, j, k, m, a1, b1, c1, d1, num in self.rows)
 
 
 def decompose(
     a: int, b: int, c: int, d: int, n: int, require_theorem1: bool = False
 ) -> Decomposition:
-    """Materialize every (r, j) term eagerly, in (r, j) lexicographic order.
+    """Evaluate every (r, j) term eagerly as a row, in (r, j) lexicographic order.
 
     The identity needs nothing beyond b, d >= 1, gcd(c, d) = 1 and ad != bc,
     so arbitrary bases are accepted; `require_theorem1` opts in to the exact
@@ -83,26 +98,20 @@ def decompose(
         if failure is not None:
             raise PremiseError(failure)
     base_sum = 12 * dedekind_fast(a, b)
-    base_expected = Fraction(b, d * q)
-    ndq = n * d * q
-    expected = {}  # E[r, j] depends on m alone
-    terms = []
+    rows = []
     for r in divisors(n):
         rb, rd = r * b, r * d
         num_a, num_c = (n // r) * a, (n // r) * c  # (n/r) a + j b and (n/r) c + j d at j = 0
         for j in range(r):
             k = gcd(num_a, rb)
             m = gcd(num_c, rd)
-            a1, b1, c1, d1 = num_a // k, rb // k, num_c // m, rd // m
-            s = dedekind_fast(num_a, rb)
-            e = expected.get(m)
-            if e is None:
-                e = expected[m] = Fraction(m * m * b, ndq)
-            terms.append(KnoppTerm(r, j, k, m, (a1, b1, c1, d1),
-                                   Fraction(12 * s.numerator, s.denominator), e, a1 * d1 - b1 * c1))
+            b1 = rb // k
+            s = dedekind_fast(num_a, rb)  # 12 s = N / b', its denominator divides 12 b'
+            rows.append((r, j, k, m, num_a // k, b1, num_c // m, rd // m,
+                         12 * b1 // s.denominator * s.numerator))
             num_a += b
             num_c += d
-    return Decomposition(n, a, b, c, d, q, base_sum, base_expected, tuple(terms))
+    return Decomposition(n, a, b, c, d, q, base_sum, tuple(rows))
 
 
 def identity_discrepancy(dec: Decomposition) -> Fraction:
@@ -116,23 +125,23 @@ def verify_identity(dec: Decomposition) -> bool:
     return identity_discrepancy(dec) == 0
 
 
-def _deviation_pairs(dec: Decomposition) -> Iterator[tuple[KnoppTerm, int, int]]:
-    """Per term, (term, x, y) with |S[r,j]/E[r,j] - 1| = x / y, y > 0, unreduced.
+def _deviation_pairs(dec: Decomposition) -> list[tuple[int, int, int, int, int]]:
+    """Per row, (r, j, m, x, y) with |S[r,j]/E[r,j] - 1| = x / y, y > 0, unreduced.
 
-    With S = s/s_den and E = e/e_den, x = |s e_den - s_den e| and
-    y = |s_den e|; e < 0 when q < 0, hence the abs on y.
+    S[r,j] = N / b' and E[r,j] = m^2 b / (n d q), so x = |N n d q - b' m^2 b|
+    and y = b' m^2 b, which is positive whatever the sign of q.
     """
-    for t in dec.terms:
-        s, s_den = t.sum_value.as_integer_ratio()
-        e, e_den = t.expected.as_integer_ratio()
-        if not e:
-            raise ValueError(f"expected value is zero at (r={t.r}, j={t.j})")
-        yield t, abs(s * e_den - s_den * e), abs(s_den * e)
+    ndq, b = dec.n * dec.d * dec.q, dec.b
+    pairs = []
+    for r, j, _, m, _, b1, _, _, num in dec.rows:
+        y = b1 * m * m * b
+        pairs.append((r, j, m, abs(num * ndq - y), y))
+    return pairs
 
 
 def deviation_profile(dec: Decomposition) -> list[tuple[int, int, int, Fraction]]:
     """Per-term (r, j, m, |S[r,j]/E[r,j] - 1|), in the decomposition's order."""
-    return [(t.r, t.j, t.m, Fraction(x, y)) for t, x, y in _deviation_pairs(dec)]
+    return [(r, j, m, Fraction(x, y)) for r, j, m, x, y in _deviation_pairs(dec)]
 
 
 def three_term_residual(ctx: FareyContext) -> Fraction:

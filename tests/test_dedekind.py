@@ -110,7 +110,39 @@ class TestNaive:
             dedekind_naive(1, 0)
 
 
+def euclid_length(a: int, b: int) -> int:
+    """Division steps of Euclid on (b, a), for 0 < a < b."""
+    t = 0
+    while a:
+        a, b = b % a, a
+        t += 1
+    return t
+
+
+def fibonacci_pairs(limit: int) -> list[tuple[int, int]]:
+    """Consecutive (F_k, F_k+1) up to `limit`: the longest Euclid chains for their size."""
+    pairs = [(1, 2)]
+    while pairs[-1][1] <= limit:
+        a, b = pairs[-1]
+        pairs.append((b, a + b))
+    return pairs[:-1]
+
+
 class TestFast:
+    @pytest.mark.parametrize("pairs, parities", [
+        pytest.param([(1, 10 ** 12 + 39)], {1}, id="a_1_odd_t"),
+        pytest.param([(10 ** 12 + 38, 10 ** 12 + 39)], {0}, id="a_b_minus_1_even_t"),
+        pytest.param(fibonacci_pairs(10 ** 40), {0, 1}, id="fibonacci_to_1e40"),
+    ])
+    def test_inverse_from_either_exit(self, pairs, parities):
+        # a* comes from the Euclid pass itself, read differently at the
+        # odd-t and the even-t exit; reciprocity never forms a*
+        assert {euclid_length(a, b) % 2 for a, b in pairs} == parities
+        for a, b in pairs:
+            for g in (1, 6, 10 ** 20 + 1):
+                for signed in (a, -a):
+                    assert dedekind_fast(signed * g, b * g) == dedekind_reciprocity(signed * g, b * g)
+
     def test_closed_form_one_over_b(self):
         # s(1, b) = (b-1)(b-2)/(12b), itself cross-checked against the oracle
         for b in range(1, 120):

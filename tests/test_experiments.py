@@ -177,18 +177,20 @@ class TestMeanDeviations:
         assert m2 > m1 > 0
 
     def test_zero_when_sums_equal_expected(self):
+        # a row stores S[r,j] as N / b'; set (b', N) to E[r,j]'s own terms
         dec = decompose(3504214, 31537789, 1, 9, 12)
         forced = tuple(
-            t._replace(sum_value=t.expected) for t in dec.terms
+            row[:5] + (t.expected.denominator,) + row[6:8] + (t.expected.numerator,)
+            for row, t in zip(dec.rows, dec.terms)
         )
-        exact = dataclasses.replace(dec, terms=forced)
+        exact = dataclasses.replace(dec, rows=forced)
         assert mean_deviations(exact) == (0, 0)
 
     def test_m1_count_guard(self):
         dec = decompose(3504214, 31537789, 1, 9, 12)
-        assert dec.terms[0].m == 3  # term (1, 0); forcing m = 1 breaks the count
-        forced = dec.terms[0]._replace(m=1)
-        mutated = dataclasses.replace(dec, terms=(forced,) + dec.terms[1:])
+        assert dec.rows[0][3] == 3  # m of term (1, 0); forcing m = 1 breaks the count
+        forced = dec.rows[0][:3] + (1,) + dec.rows[0][4:]
+        mutated = dataclasses.replace(dec, rows=(forced,) + dec.rows[1:])
         with pytest.raises(ValueError):
             mean_deviations(mutated)
 

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_base, draw_context
-from fareysum.dedekind import dedekind_fast
+from fareysum.dedekind import dedekind_fast, dedekind_naive
 from fareysum.farey import PremiseError, farey_context, is_farey_neighbour
 from fareysum.knopp import (
+    _deviation_pairs,
     decompose,
     deviation_profile,
     identity_discrepancy,
@@ -130,6 +131,29 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(1, 5, 0, 1, 10 ** 4 + 1)
 
+    def test_rendered_terms_match_a_naive_oracle(self):
+        # S[r,j] by direct summation and E[r,j] from E(a, b) = b / (d q),
+        # on bases with q of either sign and a not always prime to b
+        rng = random.Random(101)  # three of its six bases have q < 0
+        signs = set()
+        for g in (1, 2, 3, 1, 2, 3):
+            a, b, c, d, n = draw_base(rng, 10 ** 4 // g, 24)
+            a, b = a * g, b * g
+            q = a * d - b * c
+            signs.add(q > 0)
+            dec = decompose(a, b, c, d, n)
+            base_expected = Fraction(b, d * q)
+            for t in dec.terms:
+                assert t.sum_value == 12 * dedekind_naive((n // t.r) * a + t.j * b, t.r * b)
+                assert t.expected == Fraction(t.m * t.m, n) * base_expected
+        assert signs == {False, True}
+        # rendered once, and a replaced decomposition renders its own rows
+        assert dec.terms is dec.terms
+        row = dec.rows[-1]
+        changed = dataclasses.replace(dec, rows=dec.rows[:-1] + (row[:8] + (row[8] + row[5],),))
+        assert changed.terms[:-1] == dec.terms[:-1]
+        assert changed.terms[-1].sum_value == dec.terms[-1].sum_value + 1
+
 
 class TestVerifyIdentity:
     def test_randomized_fuzz(self):
@@ -142,9 +166,10 @@ class TestVerifyIdentity:
 
     def test_mutation_is_detected(self):
         dec = decompose(3, 7, 0, 1, 6)
-        bad_term = dec.terms[2]._replace(sum_value=dec.terms[2].sum_value + 1)
+        row = dec.rows[2]  # S[r,j] = N / b', so N + b' adds exactly 1
+        bad_row = row[:8] + (row[8] + row[5],)
         mutated = dataclasses.replace(
-            dec, terms=dec.terms[:2] + (bad_term,) + dec.terms[3:]
+            dec, rows=dec.rows[:2] + (bad_row,) + dec.rows[3:]
         )
         assert not verify_identity(mutated)
         assert identity_discrepancy(mutated) == 1
@@ -163,16 +188,24 @@ class TestDeviationProfile:
 
     def test_exact_match_gives_zero(self):
         dec = decompose(3504214, 31537789, 1, 9, 12)
-        forced = dec.terms[0]._replace(sum_value=dec.terms[0].expected)
-        mutated = dataclasses.replace(dec, terms=(forced,) + dec.terms[1:])
+        e = dec.terms[0].expected  # store S[1,0] = N / b' as E[1,0]'s own terms
+        forced = dec.rows[0][:5] + (e.denominator,) + dec.rows[0][6:8] + (e.numerator,)
+        mutated = dataclasses.replace(dec, rows=(forced,) + dec.rows[1:])
         assert deviation_profile(mutated)[0][3] == 0
 
-    def test_rejects_zero_expected(self):
-        dec = decompose(3, 7, 0, 1, 2)
-        broken = dec.terms[0]._replace(expected=Fraction(0))
-        mutated = dataclasses.replace(dec, terms=(broken,) + dec.terms[1:])
-        with pytest.raises(ValueError):
-            deviation_profile(mutated)
+    def test_denominators_are_positive_and_q_zero_is_refused(self):
+        # E[r,j] = m^2 b / (n d q) vanishes nowhere once q = 0 is refused,
+        # and q < 0 makes E negative, which the pair's x must absorb
+        rng = random.Random(89)
+        negative = 0
+        for _ in range(100):
+            a, b, c, d, n = draw_base(rng, 10 ** 4, 24)
+            dec = decompose(a, b, c, d, n)
+            negative += dec.q < 0
+            assert all(y > 0 for *_, y in _deviation_pairs(dec))
+        assert negative > 20
+        with pytest.raises(ValueError, match="degenerate"):
+            decompose(2, 3, 2, 3, 4)
 
 
 class TestThreeTermResidual:
