@@ -16,7 +16,6 @@ all of them are complete, so a failed run leaves no partial report set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -100,6 +99,8 @@ def _cmd_sum(args) -> int:
 
 def _check_report_path(path: str) -> None:
     """Refuse a report path that cannot be written, before any work starts."""
+    if not path:
+        raise ValueError("cannot write a report to an empty path")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"cannot write {path}: no such directory {directory}")
@@ -156,6 +157,7 @@ def _cmd_decompose(args) -> int:
     dec = knopp.decompose(args.a, args.b, args.c, args.d, args.n, args.require_theorem1)
     rows = _term_rows(dec)
     if args.json:
+        import json  # here, not at the top: only --json needs it
         print(json.dumps({
             "n": dec.n, "a": dec.a, "b": dec.b, "c": dec.c, "d": dec.d, "q": dec.q,
             "base_sum": format_decimal(dec.base_sum),

@@ -14,7 +14,6 @@ bounds; its report serializes as CSV.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -193,6 +192,7 @@ def verify_theorem2(
 
 
 SWEEP_CSV_HEADER = ("n", "m", "d", "c", "brute", "formula", "closed_form", "ok")
+_SWEEP_CSV_LINE = ",".join(["%d"] * len(SWEEP_CSV_HEADER)) + "\r\n"
 
 
 def write_sweep_csv(path: str, rows: Iterable[tuple]) -> int:
@@ -200,8 +200,8 @@ def write_sweep_csv(path: str, rows: Iterable[tuple]) -> int:
     1/0) to CSV; returns the number of rows written."""
     tally = count()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        # zip advances the tally once per row, inside writerows' own loop
-        writer.writerows(map(itemgetter(0), zip(rows, tally)))
+        fh.write(",".join(SWEEP_CSV_HEADER) + "\r\n")
+        # csv's default dialect for plain ints; zip advances the tally once
+        # per row, inside writelines' own loop
+        fh.writelines(map(_SWEEP_CSV_LINE.__mod__, map(itemgetter(0), zip(rows, tally))))
     return next(tally)

@@ -14,7 +14,6 @@ config produce byte-identical CSV and JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -333,6 +332,7 @@ def scan_report_to_dict(report: ScanReport) -> dict:
 
 
 def write_scan_json(report: ScanReport, path: str) -> None:
+    import json  # here, not at the top: only a JSON report needs it
     with open(path, "w") as fh:
         json.dump(scan_report_to_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -3,16 +3,18 @@
 `ProcessPoolExecutor` under fork starts every worker up front, so a pool
 is never sized past the CPUs this process may run on or the work it has;
 it holds a few tasks per worker in flight, so untaken results never pile up.
+Importing it took about a third of `import fareysum.cli`, so it is bound
+on the first pooled call, and a serial run never imports it.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence
 
 IN_FLIGHT_PER_WORKER = 4
+ProcessPoolExecutor = None  # concurrent.futures.ProcessPoolExecutor, once a pool is needed
 
 
 def worker_count(jobs: int, tasks: int) -> int:
@@ -35,10 +37,13 @@ def ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator[Iterable]:
     fn returned it; otherwise over a pool of `worker_count(jobs, len(items))`
     processes holding at most IN_FLIGHT_PER_WORKER tasks per worker in flight,
     and each result crosses back as a list."""
+    global ProcessPoolExecutor
     workers = worker_count(jobs, len(items))
     if workers == 1:
         yield from map(fn, items)
         return
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for item in items:

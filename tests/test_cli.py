@@ -84,6 +84,19 @@ class TestVerifyCounting:
         assert err.startswith("fareysum: error:")
         assert "Traceback" not in err
 
+    def test_empty_csv_path_fails_before_sweeping(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep must not start")
+
+        monkeypatch.setattr(cli.counting, "verify_theorem2", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "verify-counting", "--max-n", "5", "--max-d", "5",
+                             "--csv", "")
+        assert code == 1
+        assert err == "fareysum: error: cannot write a report to an empty path\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_csv_is_exit_one(self, capsys, tmp_path):
         # the directory exists, but the path itself is a directory
         code, _, err = run(capsys, "verify-counting", "--max-n", "5", "--max-d", "5",
@@ -208,6 +221,23 @@ class TestScan:
         assert code == 1
         assert err.startswith("fareysum: error:")
         assert "missing" in err
+
+    @pytest.mark.parametrize("reports", [["--csv", ""], ["--json", ""],
+                                         ["--csv", "ok.csv", "--json", ""]])
+    def test_empty_report_path_fails_before_scanning(self, capsys, tmp_path, monkeypatch, reports):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan must not start")
+
+        monkeypatch.setattr(cli.experiments, "run_scan", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1",
+            "--b-start", "100000001", "--b-count", "5", *reports,
+        )
+        assert code == 1
+        assert err == "fareysum: error: cannot write a report to an empty path\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_report_is_exit_one(self, capsys, tmp_path):
         code, _, err = run(

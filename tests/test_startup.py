@@ -1,0 +1,36 @@
+"""Start-up: what `import fareysum.cli` loads into a fresh interpreter.
+
+Every `fareysum` process pays for this import, and most never start a
+process pool or write JSON, so those modules load only where they run.
+The golden `--jobs 2` runs cover the pool once it is bound.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+DEFERRED = ("concurrent.futures", "multiprocessing", "json", "csv")
+
+# repr, not json, so that the probe itself loads nothing it measures
+PROBE = """
+import sys
+bare = set(sys.modules)
+import fareysum.cli
+print(repr((sorted(set(sys.modules) - bare), fareysum.pool.ProcessPoolExecutor is None)))
+"""
+
+
+def test_cli_import_leaves_out_the_pool_json_and_csv():
+    # compared with the bare interpreter, since site may preload modules
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    added, pool_unbound = ast.literal_eval(done.stdout.strip().splitlines()[-1])
+    assert "fareysum.cli" in added and "fareysum.pool" in added
+    assert [name for name in added
+            if any(name == m or name.startswith(m + ".") for m in DEFERRED)] == []
+    assert pool_unbound
