@@ -191,7 +191,7 @@ def verify_theorem2(
     return SweepReport(max_n, max_d, rows_checked, tuple(violations))
 
 
-SWEEP_CSV_HEADER = ("n", "m", "d", "c", "brute", "formula", "closed_form", "ok")
+SWEEP_CSV_HEADER = SweepRow._fields
 _SWEEP_CSV_LINE = ",".join(["%d"] * len(SWEEP_CSV_HEADER)) + "\r\n"
 
 

@@ -103,9 +103,9 @@ class ExperimentConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be positive integers")
         require_n_in_range(self.n)
+        if self.d < 1:
+            raise ValueError("d must be a positive integer")
         if self.b_start < 1 or self.b_count < 0:
             raise ValueError("b_start must be >= 1 and b_count >= 0")
         if self.b_mode not in (B_MODE_CONSECUTIVE, B_MODE_RANDOM):
@@ -163,7 +163,6 @@ class ScanReport:
     """All records in (c, b) order plus per-c aggregates, with the config echoed."""
 
     config: ExperimentConfig
-    generator: str
     records: tuple[ScanRecord, ...]
     aggregates: tuple[ScanAggregate, ...]
 
@@ -266,7 +265,7 @@ def run_scan(config: ExperimentConfig, jobs: int = 1) -> ScanReport:
     size = max(1, len(cells) // (8 * workers))
     runs = [cells[i:i + size] for i in range(0, len(cells), size)]
     records = tuple(chain.from_iterable(ordered_map(_scan_cells, runs, workers)))
-    return ScanReport(config, GENERATOR_ID, records, _aggregate(config, records))
+    return ScanReport(config, records, _aggregate(config, records))
 
 
 SCAN_CSV_HEADER = "b,c,a,ruled_out,m1,m2"
@@ -293,39 +292,19 @@ def write_scan_csv(report: ScanReport, path: str) -> None:
 
 
 def scan_report_to_dict(report: ScanReport) -> dict:
-    """JSON-ready view; exact rationals are rendered to 12 significant digits."""
-    config = report.config
+    """JSON-ready view: the config, each record and each aggregate carry their
+    own fields, m1/m2 rendered to 12 significant digits; the config adds the
+    thresholds and the generator, each aggregate its `pct_*` shares."""
+    thresholds = {k: format_decimal(t) for k, t in THRESHOLDS.items()}
     return {
-        "config": {
-            "n": config.n,
-            "d": config.d,
-            "c_list": list(config.c_list),
-            "b_start": config.b_start,
-            "b_count": config.b_count,
-            "b_mode": config.b_mode,
-            "rng_seed": config.rng_seed,
-            "thresholds": {k: format_decimal(t) for k, t in THRESHOLDS.items()},
-            "generator": report.generator,
-        },
+        "config": vars(report.config) | {"thresholds": thresholds, "generator": GENERATOR_ID},
         "records": [
-            {
-                "b": rec.b,
-                "c": rec.c,
-                "a": rec.a,
-                "m1": None if rec.m1 is None else format_decimal(rec.m1),
-                "m2": None if rec.m2 is None else format_decimal(rec.m2),
-                "ruled_out_reason": rec.ruled_out_reason,
-            }
+            vars(rec) | {"m1": None if rec.m1 is None else format_decimal(rec.m1),
+                         "m2": None if rec.m2 is None else format_decimal(rec.m2)}
             for rec in report.records
         ],
         "aggregates": [
-            {
-                "c": agg.c,
-                "retained": agg.retained,
-                "ruled_out": agg.ruled_out,
-                **{name: getattr(agg, name) for name in _SHARES},
-                **{"pct_" + name: s for name, s in zip(_SHARES, agg.shares())},
-            }
+            vars(agg) | {"pct_" + name: s for name, s in zip(_SHARES, agg.shares())}
             for agg in report.aggregates
         ],
     }
@@ -369,5 +348,4 @@ def run_example() -> ExampleReport:
     dec = decompose(EXAMPLE_A, EXAMPLE_B, EXAMPLE_C, EXAMPLE_D, EXAMPLE_N, require_theorem1=True)
     devs = deviation_profile(dec)
     r, j, _, value = max(devs, key=lambda t: t[3])
-    mean = sum((v for (_, _, _, v) in devs), Fraction(0)) / len(devs)
-    return ExampleReport(dec, devs, value, (r, j), mean)
+    return ExampleReport(dec, devs, value, (r, j), mean_deviations(dec)[0])

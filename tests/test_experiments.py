@@ -239,10 +239,16 @@ class TestConfigValidation:
             ExperimentConfig(n=12, d=9, c_list=(), b_start=10, b_count=1)
 
     def test_rejects_n_above_limit(self):
-        # refused up front, not only once a retained cell is decomposed
-        with pytest.raises(ValueError, match=re.escape("n must lie in [1, 10000], got 10001")):
-            ExperimentConfig(n=10001, d=1, c_list=(0,), b_start=5, b_count=3)
+        # refused up front by the decomposition's own bound, not only once a
+        # retained cell is decomposed; n = 0 falls outside the same [1, 10000]
+        for n in (10001, 0):
+            with pytest.raises(ValueError, match=re.escape(f"n must lie in [1, 10000], got {n}")):
+                ExperimentConfig(n=n, d=1, c_list=(0,), b_start=5, b_count=3)
         assert ExperimentConfig(n=10000, d=1, c_list=(0,), b_start=5, b_count=3).n == 10000
+
+    def test_rejects_non_positive_d(self):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            ExperimentConfig(n=12, d=0, c_list=(0,), b_start=5, b_count=3)
 
     def test_rejects_repeated_c(self):
         # a repeated c would be scanned twice and reported in two #agg rows

@@ -73,6 +73,14 @@ def test_sweep_csv_and_stdout_match_golden(jobs, tmp_path, monkeypatch, capsys):
     assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / "sweep_n24_d8.csv").read_bytes()
 
 
+def test_example_stdout_matches_golden(capsys):
+    # every deviation line, the exact S and E and the max and mean lines
+    code = cli.main(["example"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "example.stdout").read_bytes()
+
+
 def test_scan_stdout_matches_golden(capsys):
     code = cli.main(["scan", "--n", "12", "--d", "9", "--c", "1,2,4,5,7,8",
                      "--b-start", "100000001", "--b-count", "50"])
