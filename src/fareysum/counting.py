@@ -15,7 +15,6 @@ bounds; its report serializes as CSV.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, repeat
 from math import gcd
@@ -31,21 +30,29 @@ SWEEP_MAX_N_DEFAULT = 200
 SWEEP_MAX_D_DEFAULT = 50
 
 
-@dataclass(frozen=True)
-class CountingQuery:
-    """Parameters (n, m, c, d) of one multiplicity count, with m | n."""
-
+class _CountingFields(NamedTuple):
     n: int
     m: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
+
+class CountingQuery(_CountingFields):
+    """Parameters (n, m, c, d) of one multiplicity count, with m | n."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CountingQuery:
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive integers")
         if self.m < 1 or self.n % self.m != 0:
             raise ValueError(f"m = {self.m} must be a positive divisor of n = {self.n}")
         require_reduced_c(self.c, self.d)
+        return self
+
+    # _replace builds through _make, so both validate
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def lemma1_count(r: int, d: int, s: int) -> int:
@@ -116,8 +123,7 @@ class SweepRow(NamedTuple):
     ok: int
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of a full cross-check sweep; `violations` is expected empty."""
 
     max_n: int

@@ -14,11 +14,11 @@ config produce byte-identical CSV and JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .farey import require_reduced_c, satisfies_theorem1_premises
 from .knopp import Decomposition, _deviation_pairs, decompose, deviation_profile, require_n_in_range
@@ -90,10 +90,7 @@ def format_fixed(value: Fraction, places: int) -> str:
     return f"{sign}{q // 10 ** places}.{q % 10 ** places:0{places}d}"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Scan parameters; the thresholds are the fixed `THRESHOLDS`."""
-
+class _ExperimentFields(NamedTuple):
     n: int
     d: int
     c_list: tuple[int, ...]
@@ -102,25 +99,35 @@ class ExperimentConfig:
     b_mode: str = B_MODE_CONSECUTIVE
     rng_seed: int = 0
 
-    def __post_init__(self) -> None:
-        require_n_in_range(self.n)
-        if self.d < 1:
+
+class ExperimentConfig(_ExperimentFields):
+    """Scan parameters; the thresholds are the fixed `THRESHOLDS`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ExperimentConfig:
+        n, d, c_list, b_start, b_count, b_mode, rng_seed = _ExperimentFields(*args, **kwargs)
+        c_list = tuple(c_list)
+        require_n_in_range(n)
+        if d < 1:
             raise ValueError("d must be a positive integer")
-        if self.b_start < 1 or self.b_count < 0:
+        if b_start < 1 or b_count < 0:
             raise ValueError("b_start must be >= 1 and b_count >= 0")
-        if self.b_mode not in (B_MODE_CONSECUTIVE, B_MODE_RANDOM):
-            raise ValueError(f"unknown b_mode: {self.b_mode!r}")
-        if not self.c_list:
+        if b_mode not in (B_MODE_CONSECUTIVE, B_MODE_RANDOM):
+            raise ValueError(f"unknown b_mode: {b_mode!r}")
+        if not c_list:
             raise ValueError("c_list must not be empty")
-        for i, c in enumerate(self.c_list):
-            require_reduced_c(c, self.d)
-            if c in self.c_list[:i]:
+        for i, c in enumerate(c_list):
+            require_reduced_c(c, d)
+            if c in c_list[:i]:
                 raise ValueError(f"c = {c} is repeated in c_list")
-        object.__setattr__(self, "c_list", tuple(self.c_list))
+        return super().__new__(cls, n, d, c_list, b_start, b_count, b_mode, rng_seed)
+
+    # _replace builds through _make, so both validate
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """Outcome for one (b, c) cell; a, m1, m2 are absent when ruled out."""
 
     b: int
@@ -134,8 +141,7 @@ class ScanRecord:
 _SHARES = ("m1_ge_t1_hi", "m1_lt_t1_lo", "m2_ge_t2_hi", "m2_lt_t2_lo")
 
 
-@dataclass(frozen=True)
-class ScanAggregate:
+class ScanAggregate(NamedTuple):
     """Per-c tallies over retained records; the four counts follow `_SHARES`."""
 
     c: int
@@ -158,8 +164,7 @@ class ScanAggregate:
         return [None if p is None else format_fixed(p, 1) for p in pcts]
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """All records in (c, b) order plus per-c aggregates, with the config echoed."""
 
     config: ExperimentConfig
@@ -297,14 +302,14 @@ def scan_report_to_dict(report: ScanReport) -> dict:
     thresholds and the generator, each aggregate its `pct_*` shares."""
     thresholds = {k: format_decimal(t) for k, t in THRESHOLDS.items()}
     return {
-        "config": vars(report.config) | {"thresholds": thresholds, "generator": GENERATOR_ID},
+        "config": report.config._asdict() | {"thresholds": thresholds, "generator": GENERATOR_ID},
         "records": [
-            vars(rec) | {"m1": None if rec.m1 is None else format_decimal(rec.m1),
-                         "m2": None if rec.m2 is None else format_decimal(rec.m2)}
+            rec._asdict() | {"m1": None if rec.m1 is None else format_decimal(rec.m1),
+                             "m2": None if rec.m2 is None else format_decimal(rec.m2)}
             for rec in report.records
         ],
         "aggregates": [
-            vars(agg) | {"pct_" + name: s for name, s in zip(_SHARES, agg.shares())}
+            agg._asdict() | {"pct_" + name: s for name, s in zip(_SHARES, agg.shares())}
             for agg in report.aggregates
         ],
     }
@@ -324,8 +329,7 @@ EXAMPLE_A = 3504214
 EXAMPLE_N = 12
 
 
-@dataclass(frozen=True)
-class ExampleReport:
+class ExampleReport(NamedTuple):
     """The fully expanded worked example (b=31537789, c=1, d=9, a=3504214, n=12)."""
 
     decomposition: Decomposition

@@ -15,7 +15,7 @@ Only right-half neighbours (q > 0, hence S(a, b) > 0) are supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numtheory import require_coprime
 
@@ -41,8 +41,7 @@ def _validate_neighbour_data(b: int, c: int, d: int, a: int) -> None:
     require_coprime(a, b, "a must be prime to b")
 
 
-@dataclass(frozen=True)
-class FareyContext:
+class FareyContext(NamedTuple):
     """A Farey neighbour a of the point b*c/d, with c in [0, d) and q = ad - bc > 0."""
 
     b: int

@@ -14,7 +14,6 @@ Farey neighbour and every term is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -46,15 +45,7 @@ class KnoppTerm(NamedTuple):
     q_prime: int  # a'd' - b'c'
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """All sigma(n) terms of S(a, b) relative to the Farey data (c, d).
-
-    `rows` holds each term as integers (r, j, k, m, a', b', c', d', N) with
-    S[r, j] = N / b', ordered by (r ascending, j ascending); `terms` renders
-    them as `KnoppTerm`s once, on first use.
-    """
-
+class _DecompositionFields(NamedTuple):
     n: int
     a: int
     b: int
@@ -63,6 +54,15 @@ class Decomposition:
     q: int  # ad - bc
     base_sum: Fraction  # S(a, b)
     rows: tuple[tuple[int, ...], ...]
+
+
+class Decomposition(_DecompositionFields):
+    """All sigma(n) terms of S(a, b) relative to the Farey data (c, d).
+
+    `rows` holds each term as integers (r, j, k, m, a', b', c', d', N) with
+    S[r, j] = N / b', ordered by (r ascending, j ascending); `terms` renders
+    them as `KnoppTerm`s once, on first use (no `__slots__`: the cache lives in `__dict__`).
+    """
 
     @property
     def base_expected(self) -> Fraction:  # E(a, b) = b / (d q)

@@ -1,6 +1,5 @@
 """Tests for neighbour selection, scan records/aggregates, and reports."""
 
-import dataclasses
 import json
 import random
 import re
@@ -183,14 +182,14 @@ class TestMeanDeviations:
             row[:5] + (t.expected.denominator,) + row[6:8] + (t.expected.numerator,)
             for row, t in zip(dec.rows, dec.terms)
         )
-        exact = dataclasses.replace(dec, rows=forced)
+        exact = dec._replace(rows=forced)
         assert mean_deviations(exact) == (0, 0)
 
     def test_m1_count_guard(self):
         dec = decompose(3504214, 31537789, 1, 9, 12)
         assert dec.rows[0][3] == 3  # m of term (1, 0); forcing m = 1 breaks the count
         forced = dec.rows[0][:3] + (1,) + dec.rows[0][4:]
-        mutated = dataclasses.replace(dec, rows=(forced,) + dec.rows[1:])
+        mutated = dec._replace(rows=(forced,) + dec.rows[1:])
         with pytest.raises(ValueError):
             mean_deviations(mutated)
 

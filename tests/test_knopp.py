@@ -1,6 +1,5 @@
 """Tests for the Petersson-Knopp decomposition machinery."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -150,7 +149,7 @@ class TestDecompose:
         # rendered once, and a replaced decomposition renders its own rows
         assert dec.terms is dec.terms
         row = dec.rows[-1]
-        changed = dataclasses.replace(dec, rows=dec.rows[:-1] + (row[:8] + (row[8] + row[5],),))
+        changed = dec._replace(rows=dec.rows[:-1] + (row[:8] + (row[8] + row[5],),))
         assert changed.terms[:-1] == dec.terms[:-1]
         assert changed.terms[-1].sum_value == dec.terms[-1].sum_value + 1
 
@@ -168,9 +167,7 @@ class TestVerifyIdentity:
         dec = decompose(3, 7, 0, 1, 6)
         row = dec.rows[2]  # S[r,j] = N / b', so N + b' adds exactly 1
         bad_row = row[:8] + (row[8] + row[5],)
-        mutated = dataclasses.replace(
-            dec, rows=dec.rows[:2] + (bad_row,) + dec.rows[3:]
-        )
+        mutated = dec._replace(rows=dec.rows[:2] + (bad_row,) + dec.rows[3:])
         assert not verify_identity(mutated)
         assert identity_discrepancy(mutated) == 1
 
@@ -190,7 +187,7 @@ class TestDeviationProfile:
         dec = decompose(3504214, 31537789, 1, 9, 12)
         e = dec.terms[0].expected  # store S[1,0] = N / b' as E[1,0]'s own terms
         forced = dec.rows[0][:5] + (e.denominator,) + dec.rows[0][6:8] + (e.numerator,)
-        mutated = dataclasses.replace(dec, rows=(forced,) + dec.rows[1:])
+        mutated = dec._replace(rows=(forced,) + dec.rows[1:])
         assert deviation_profile(mutated)[0][3] == 0
 
     def test_denominators_are_positive_and_q_zero_is_refused(self):

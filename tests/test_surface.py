@@ -1,11 +1,18 @@
 """The public surface: every name `fareysum` exports, pinned by name.
 
 A name joins or leaves this list only together with the code that needs it.
+Every exported record type is a NamedTuple: immutable, compared as a tuple,
+read with `_asdict()` and copied with `_replace()`.
 """
 
 import inspect
+import json
+import pickle
+
+import pytest
 
 import fareysum
+from fareysum import ExperimentConfig, ScanAggregate, ScanRecord, run_scan, write_scan_json
 
 EXPORTS = [
     "CountingQuery", "Decomposition", "ExampleReport", "ExperimentConfig",
@@ -28,3 +35,35 @@ def test_exports_are_pinned():
     )
     assert len(EXPORTS) == 43
     assert exported == EXPORTS
+
+
+def test_every_exported_class_but_the_error_is_a_named_tuple():
+    classes = [value for value in vars(fareysum).values()
+               if inspect.isclass(value) and value is not fareysum.PremiseError]
+    assert len(classes) == 11
+    assert [cls.__name__ for cls in classes
+            if not (issubclass(cls, tuple) and hasattr(cls, "_fields"))] == []
+
+
+@pytest.fixture(scope="module")
+def pooled_report():
+    # with two CPUs or more the records cross the pool; one cell is ruled out
+    config = ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=10 ** 8 + 1, b_count=16)
+    return run_scan(config, jobs=2)
+
+
+def test_scan_json_keys_are_the_record_fields(pooled_report, tmp_path):
+    path = tmp_path / "scan.json"
+    write_scan_json(pooled_report, str(path))
+    doc = json.loads(path.read_text())
+    assert set(doc["config"]) == {*ExperimentConfig._fields, "thresholds", "generator"}
+    assert {rec["ruled_out_reason"] for rec in doc["records"]} == {"none", "gcd_failed"}
+    assert all(set(rec) == set(ScanRecord._fields) for rec in doc["records"])
+    shares = {"pct_m1_ge_t1_hi", "pct_m1_lt_t1_lo", "pct_m2_ge_t2_hi", "pct_m2_lt_t2_lo"}
+    assert [set(agg) for agg in doc["aggregates"]] == [{*ScanAggregate._fields, *shares}] * 2
+
+
+def test_scan_report_survives_a_pickle_round_trip(pooled_report):
+    again = pickle.loads(pickle.dumps(pooled_report))
+    assert again == pooled_report
+    assert type(again.config) is ExperimentConfig and type(again.records[0]) is ScanRecord

@@ -2,9 +2,12 @@
 
 The coprimality rules ("c/d must be reduced", "a must be prime to b") each
 have one home, so the message an unreduced c/d or a non-coprime a produces
-is the same whichever function receives it.
+is the same whichever function receives it.  The two validated records,
+`CountingQuery` and `ExperimentConfig`, check their fields however they
+are built: by call, `_make`, `_replace` or a pickle round trip.
 """
 
+import pickle
 import re
 
 import pytest
@@ -44,3 +47,35 @@ def test_rejections_share_one_text(name):
     if not_prime is not None:
         with pytest.raises(ValueError, match=re.escape(NOT_PRIME_TO_B)):
             not_prime()
+
+
+# a valid record, the fields that make it invalid, and the message they give
+GOOD_QUERY = CountingQuery(6, 3, 1, 3)
+GOOD_CONFIG = ExperimentConfig(n=2, d=3, c_list=(1, 2), b_start=1000, b_count=1)
+BAD_RECORDS = {
+    "query_bad_n": (GOOD_QUERY, {"n": 0}, "n and d must be positive integers"),
+    "query_m_not_dividing_n": (GOOD_QUERY, {"m": 4}, "m = 4 must be a positive divisor of n = 6"),
+    "config_bad_n": (GOOD_CONFIG, {"n": 0}, "n must lie in [1, 10000], got 0"),
+    "config_repeated_c": (GOOD_CONFIG, {"c_list": (1, 2, 1)}, "c = 1 is repeated in c_list"),
+}
+
+# every way to build a record: (good record, field changes, all field values)
+BUILDS = {
+    "call": lambda good, changes, values: type(good)(*values),
+    "make": lambda good, changes, values: type(good)._make(values),
+    "replace": lambda good, changes, values: good._replace(**changes),
+    # pickle rebuilds through the class; the unchecked tuple stands in for a tampered one
+    "pickle": lambda good, changes, values: pickle.loads(
+        pickle.dumps(tuple.__new__(type(good), values))),
+}
+
+
+@pytest.mark.parametrize("build", sorted(BUILDS))
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_records_validate_on_every_construction_path(case, build):
+    good, changes, message = BAD_RECORDS[case]
+    rebuilt = BUILDS[build](good, {}, tuple(good))
+    assert type(rebuilt) is type(good) and rebuilt == good
+    values = [changes.get(name, value) for name, value in zip(good._fields, good)]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BUILDS[build](good, changes, values)
