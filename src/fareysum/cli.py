@@ -166,7 +166,7 @@ def _cmd_decompose(args) -> int:
         }, indent=2))
         return EXIT_OK
     print(f"S({dec.a}, {dec.b}) = {format_decimal(dec.base_sum)}   "
-          f"E = {format_decimal(dec.base_expected)}   q = {dec.q}   sigma-terms: {len(dec.terms)}")
+          f"E = {format_decimal(dec.base_expected)}   q = {dec.q}   sigma-terms: {len(rows)}")
     header = ("r", "j", "k", "m", "a_prime", "b_prime", "c_prime", "d_prime", "S[r,j]", "E[r,j]", "deviation")
     for line in [header] + [row.values() for row in rows]:
         print(" ".join(f"{v:>{w}}" for v, w in zip(line, (5, 5, 5, 5, 12, 14, 8, 8, 18, 18, 14))))
@@ -223,7 +223,7 @@ def _cmd_example(args) -> int:
     print(f"b = {dec.b}, c = {dec.c}, d = {dec.d}, a = {dec.a}, n = {dec.n}, q = {dec.q}")
     print(f"S(a, b) = {dec.base_sum} ~ {format_decimal(dec.base_sum)}")
     print(f"E(a, b) = {dec.base_expected} ~ {format_decimal(dec.base_expected)}")
-    print(f"terms: {len(dec.terms)}")
+    print(f"terms: {len(dec.rows)}")
     print(f"{'r':>4} {'j':>4} {'m':>4} {'deviation':>16}")
     for r, j, m, value in report.deviations:
         print(f"{r:>4} {j:>4} {m:>4} {format_decimal(value, 6):>16}")

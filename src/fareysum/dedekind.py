@@ -21,19 +21,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-NAIVE_LIMIT_DEFAULT = 10 ** 6
+NAIVE_LIMIT = 10 ** 6
 
 
-def dedekind_naive(a: int, b: int, limit: int = NAIVE_LIMIT_DEFAULT) -> Fraction:
-    """s(a, b) by direct summation; refuses b beyond `limit`.
+def dedekind_naive(a: int, b: int) -> Fraction:
+    """s(a, b) by direct summation; refuses b beyond `NAIVE_LIMIT`.
 
     For b not dividing x, ((x/b)) = (2(x mod b) - b) / (2b), so the whole
     sum is an integer over the common denominator 4b^2.
     """
     if b < 1:
         raise ValueError("b must be a positive integer")
-    if b > limit:
-        raise ValueError(f"direct summation refused: b={b} exceeds limit={limit}")
+    if b > NAIVE_LIMIT:
+        raise ValueError(f"direct summation refused: b={b} exceeds limit={NAIVE_LIMIT}")
     total = 0
     m = 0  # a*k mod b, updated incrementally
     for k in range(1, b):

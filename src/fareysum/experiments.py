@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, isqrt, lcm
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .farey import require_reduced_c, satisfies_theorem1_premises
 from .knopp import Decomposition, _deviation_pairs, decompose, deviation_profile, require_n_in_range
@@ -41,29 +41,14 @@ THRESHOLDS = {"t1_hi": Fraction(5, 100), "t1_lo": Fraction(1, 100),
 _MASK64 = (1 << 64) - 1
 
 
-class SplitMix64:
-    """Seeded 64-bit generator (splitmix64) for reproducible b draws."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+def splitmix64(seed: int) -> Iterator[int]:
+    """The splitmix64 stream of 64-bit words from `seed`, for reproducible b draws."""
+    state = seed & _MASK64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def randrange(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi), rejection-sampled to avoid modulo bias."""
-        span = hi - lo
-        if span < 1:
-            raise ValueError("empty range")
-        limit = (1 << 64) - (1 << 64) % span
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return lo + u % span
+        yield z ^ (z >> 31)
 
 
 def format_decimal(value: Fraction, sig_digits: int = 12) -> str:
@@ -220,11 +205,10 @@ def scan_b_values(config: ExperimentConfig) -> list[int]:
     from [b_start, 10 * b_start), i.e. the same order of magnitude."""
     if config.b_mode == B_MODE_CONSECUTIVE:
         return list(range(config.b_start, config.b_start + config.b_count))
-    rng = SplitMix64(config.rng_seed)
-    return [
-        rng.randrange(config.b_start, 10 * config.b_start)
-        for _ in range(config.b_count)
-    ]
+    span = 9 * config.b_start
+    limit = (1 << 64) - (1 << 64) % span  # words at or above it would bias u % span
+    words = (u for u in splitmix64(config.rng_seed) if u < limit)
+    return [config.b_start + u % span for u in islice(words, config.b_count)]
 
 
 def _scan_cells(cells: list[tuple[ExperimentConfig, int, int]]) -> list[ScanRecord]:
@@ -333,7 +317,7 @@ class ExampleReport(NamedTuple):
     """The fully expanded worked example (b=31537789, c=1, d=9, a=3504214, n=12)."""
 
     decomposition: Decomposition
-    deviations: list[tuple[int, int, int, Fraction]]
+    deviations: tuple[tuple[int, int, int, Fraction], ...]
     max_deviation: Fraction
     max_at: tuple[int, int]
     mean_deviation: Fraction
@@ -350,6 +334,6 @@ class ExampleReport(NamedTuple):
 def run_example() -> ExampleReport:
     """Decompose the worked example and collect its deviation statistics."""
     dec = decompose(EXAMPLE_A, EXAMPLE_B, EXAMPLE_C, EXAMPLE_D, EXAMPLE_N, require_theorem1=True)
-    devs = deviation_profile(dec)
+    devs = tuple(deviation_profile(dec))
     r, j, _, value = max(devs, key=lambda t: t[3])
     return ExampleReport(dec, devs, value, (r, j), mean_deviations(dec)[0])

@@ -15,7 +15,6 @@ Farey neighbour and every term is positive.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
@@ -45,7 +44,14 @@ class KnoppTerm(NamedTuple):
     q_prime: int  # a'd' - b'c'
 
 
-class _DecompositionFields(NamedTuple):
+class Decomposition(NamedTuple):
+    """All sigma(n) terms of S(a, b) relative to the Farey data (c, d).
+
+    `rows` holds each term as integers (r, j, k, m, a', b', c', d', N) with
+    S[r, j] = N / b', ordered by (r ascending, j ascending); `terms` renders
+    them as `KnoppTerm`s on each read.
+    """
+
     n: int
     a: int
     b: int
@@ -55,20 +61,11 @@ class _DecompositionFields(NamedTuple):
     base_sum: Fraction  # S(a, b)
     rows: tuple[tuple[int, ...], ...]
 
-
-class Decomposition(_DecompositionFields):
-    """All sigma(n) terms of S(a, b) relative to the Farey data (c, d).
-
-    `rows` holds each term as integers (r, j, k, m, a', b', c', d', N) with
-    S[r, j] = N / b', ordered by (r ascending, j ascending); `terms` renders
-    them as `KnoppTerm`s once, on first use (no `__slots__`: the cache lives in `__dict__`).
-    """
-
     @property
     def base_expected(self) -> Fraction:  # E(a, b) = b / (d q)
         return Fraction(self.b, self.d * self.q)
 
-    @cached_property
+    @property
     def terms(self) -> tuple[KnoppTerm, ...]:
         e = Fraction(self.b, self.n * self.d * self.q)  # E[r, j] = m^2 e
         return tuple(KnoppTerm(r, j, k, m, (a1, b1, c1, d1), Fraction(num, b1), m * m * e, a1 * d1 - b1 * c1)

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from itertools import islice
 from math import floor, gcd, isqrt
 
 import pytest
@@ -11,13 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import prime_to, window_max_q
+from fareysum import experiments
 from fareysum.experiments import (
     B_MODE_RANDOM,
     RULED_OUT_GCD,
     RULED_OUT_NONE,
     RULED_OUT_PREMISES,
     ExperimentConfig,
-    SplitMix64,
     format_decimal,
     format_fixed,
     mean_deviations,
@@ -27,6 +28,7 @@ from fareysum.experiments import (
     scan_csv_lines,
     scan_report_to_dict,
     select_neighbour,
+    splitmix64,
     write_scan_csv,
     write_scan_json,
 )
@@ -67,17 +69,32 @@ class TestFormatting:
 class TestSplitMix64:
     def test_reference_vector(self):
         # published splitmix64 outputs for seed 0
-        rng = SplitMix64(0)
-        assert [rng.next_u64() for _ in range(3)] == [
+        assert list(islice(splitmix64(0), 3)) == [
             0xE220A8397B1DCDAF,
             0x6E789E6AA1B965F4,
             0x06C45D188009454F,
         ]
 
     def test_range_is_uniformly_covered(self):
-        rng = SplitMix64(99)
-        draws = [rng.randrange(10, 20) for _ in range(2000)]
-        assert set(draws) == set(range(10, 20))
+        # b_start = 1 draws from [1, 10)
+        config = ExperimentConfig(n=1, d=9, c_list=(1,), b_start=1, b_count=2000,
+                                  b_mode=B_MODE_RANDOM, rng_seed=99)
+        assert set(scan_b_values(config)) == set(range(1, 10))
+
+    def test_words_that_would_bias_the_draw_are_dropped(self, monkeypatch):
+        # the span is 9, so words at or above 2^64 - (2^64 mod 9) are rejected
+        limit = (1 << 64) - (1 << 64) % 9
+        seeds = []
+
+        def words(seed):
+            seeds.append(seed)
+            return iter([limit, limit - 1, 5])
+
+        monkeypatch.setattr(experiments, "splitmix64", words)
+        config = ExperimentConfig(n=1, d=9, c_list=(1,), b_start=1, b_count=2,
+                                  b_mode=B_MODE_RANDOM, rng_seed=7)
+        assert scan_b_values(config) == [1 + (limit - 1) % 9, 1 + 5] == [9, 6]
+        assert seeds == [7]
 
 
 class TestSelectNeighbour:

@@ -146,8 +146,7 @@ class TestDecompose:
                 assert t.sum_value == 12 * dedekind_naive((n // t.r) * a + t.j * b, t.r * b)
                 assert t.expected == Fraction(t.m * t.m, n) * base_expected
         assert signs == {False, True}
-        # rendered once, and a replaced decomposition renders its own rows
-        assert dec.terms is dec.terms
+        # a replaced decomposition renders its own rows
         row = dec.rows[-1]
         changed = dec._replace(rows=dec.rows[:-1] + (row[:8] + (row[8] + row[5],),))
         assert changed.terms[:-1] == dec.terms[:-1]

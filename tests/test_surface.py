@@ -2,7 +2,8 @@
 
 A name joins or leaves this list only together with the code that needs it.
 Every exported record type is a NamedTuple: immutable, compared as a tuple,
-read with `_asdict()` and copied with `_replace()`.
+read with `_asdict()` and copied with `_replace()`.  No record carries hidden
+state in a `__dict__`, and every record the package returns hashes.
 """
 
 import inspect
@@ -12,7 +13,10 @@ import pickle
 import pytest
 
 import fareysum
-from fareysum import ExperimentConfig, ScanAggregate, ScanRecord, run_scan, write_scan_json
+from fareysum import (
+    CountingQuery, ExperimentConfig, ScanAggregate, ScanRecord, farey_context, run_example,
+    run_scan, verify_theorem2, write_scan_json,
+)
 
 EXPORTS = [
     "CountingQuery", "Decomposition", "ExampleReport", "ExperimentConfig",
@@ -37,12 +41,18 @@ def test_exports_are_pinned():
     assert exported == EXPORTS
 
 
+RECORD_TYPES = [value for value in vars(fareysum).values()
+                if inspect.isclass(value) and value is not fareysum.PremiseError]
+
+
 def test_every_exported_class_but_the_error_is_a_named_tuple():
-    classes = [value for value in vars(fareysum).values()
-               if inspect.isclass(value) and value is not fareysum.PremiseError]
-    assert len(classes) == 11
-    assert [cls.__name__ for cls in classes
+    assert len(RECORD_TYPES) == 11
+    assert [cls.__name__ for cls in RECORD_TYPES
             if not (issubclass(cls, tuple) and hasattr(cls, "_fields"))] == []
+
+
+def test_no_record_gives_its_instances_a_dict():
+    assert [cls.__name__ for cls in RECORD_TYPES if "__dict__" in dir(cls)] == []
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +77,10 @@ def test_scan_report_survives_a_pickle_round_trip(pooled_report):
     again = pickle.loads(pickle.dumps(pooled_report))
     assert again == pooled_report
     assert type(again.config) is ExperimentConfig and type(again.records[0]) is ScanRecord
+
+
+def test_every_returned_record_hashes(pooled_report):
+    example = run_example()
+    records = [example, example.decomposition, pooled_report, verify_theorem2(6, 6),
+               farey_context(31537789, 1, 9, 3504214), CountingQuery(n=6, m=2, c=1, d=5)]
+    assert all(isinstance(hash(record), int) for record in records)
