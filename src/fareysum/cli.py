@@ -7,10 +7,11 @@ Subcommands:
   scan             deviation scan over a range of b, with CSV/JSON reports
   example          the built-in worked example (b=31537789, n=12)
 
-Exit codes: 0 success, 1 invalid arguments or an unwritable report path,
-2 verification failure.  Report paths are checked before any work starts,
-and reports are written to temp files that replace their targets only once
-all of them are complete, so a failed run leaves no partial report set.
+Exit codes: 0 success, 1 invalid arguments, an unwritable report path or a
+pool worker that died, 2 verification failure.  Report paths are checked
+before any work starts, and reports are written to temp files that replace
+their targets only once all of them are complete, so a failed run leaves
+no partial report set.
 """
 
 from __future__ import annotations

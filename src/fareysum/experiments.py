@@ -14,10 +14,11 @@ config produce byte-identical CSV and JSON.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, isqrt, lcm
+from operator import add
 from typing import Iterator, NamedTuple
 
 from .farey import require_reduced_c, satisfies_theorem1_premises
@@ -55,10 +56,7 @@ def format_decimal(value: Fraction, sig_digits: int = 12) -> str:
     """Decimal rendering of an exact rational, round-half-even."""
     if sig_digits < 1:
         raise ValueError("sig_digits must be >= 1")
-    with localcontext() as ctx:
-        ctx.prec = sig_digits
-        ctx.rounding = ROUND_HALF_EVEN
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+    return str(Context(prec=sig_digits, rounding=ROUND_HALF_EVEN).divide(value.numerator, value.denominator))
 
 
 def format_fixed(value: Fraction, places: int) -> str:
@@ -100,6 +98,8 @@ class ExperimentConfig(_ExperimentFields):
             raise ValueError("b_start must be >= 1 and b_count >= 0")
         if b_mode not in (B_MODE_CONSECUTIVE, B_MODE_RANDOM):
             raise ValueError(f"unknown b_mode: {b_mode!r}")
+        if not 0 <= rng_seed <= _MASK64:
+            raise ValueError(f"rng_seed must be a 64-bit word in [0, 2**64), got {rng_seed}")
         if not c_list:
             raise ValueError("c_list must not be empty")
         for i, c in enumerate(c_list):
@@ -225,23 +225,14 @@ def _scan_cells(cells: list[tuple[ExperimentConfig, int, int]]) -> list[ScanReco
 
 
 def _aggregate(config: ExperimentConfig, records: tuple[ScanRecord, ...]) -> tuple[ScanAggregate, ...]:
+    """Every c's tallies, in one pass over the records."""
     t1_hi, t1_lo, t2_hi, t2_lo = THRESHOLDS.values()
-    out = []
-    for c in config.c_list:
-        rows = [rec for rec in records if rec.c == c]
-        kept = [rec for rec in rows if rec.ruled_out_reason == RULED_OUT_NONE]
-        out.append(
-            ScanAggregate(
-                c=c,
-                retained=len(kept),
-                ruled_out=len(rows) - len(kept),
-                m1_ge_t1_hi=sum(1 for r in kept if r.m1 >= t1_hi),
-                m1_lt_t1_lo=sum(1 for r in kept if r.m1 < t1_lo),
-                m2_ge_t2_hi=sum(1 for r in kept if r.m2 >= t2_hi),
-                m2_lt_t2_lo=sum(1 for r in kept if r.m2 < t2_lo),
-            )
-        )
-    return tuple(out)
+    counts = {c: (0,) * 6 for c in config.c_list}  # retained, ruled_out, then the _SHARES counts
+    for rec in records:
+        m1, m2 = rec.m1, rec.m2
+        hits = (0, 1, 0, 0, 0, 0) if m1 is None else (1, 0, m1 >= t1_hi, m1 < t1_lo, m2 >= t2_hi, m2 < t2_lo)
+        counts[rec.c] = tuple(map(add, counts[rec.c], hits))
+    return tuple(ScanAggregate(c, *tally) for c, tally in counts.items())
 
 
 def run_scan(config: ExperimentConfig, jobs: int = 1) -> ScanReport:
@@ -260,15 +251,21 @@ def run_scan(config: ExperimentConfig, jobs: int = 1) -> ScanReport:
 SCAN_CSV_HEADER = "b,c,a,ruled_out,m1,m2"
 
 
+def _decimals(rec: ScanRecord) -> tuple[str | None, str | None]:
+    """A record's m1 and m2 at 12 significant digits; None for a ruled-out record."""
+    if rec.m1 is None:
+        return None, None
+    return format_decimal(rec.m1), format_decimal(rec.m2)
+
+
 def scan_csv_lines(report: ScanReport) -> list[str]:
     """CSV lines: header, records in (c, b) order, then `#agg,` footer rows
     (c, retained, ruled_out, then the four percentages at one decimal)."""
     lines = [SCAN_CSV_HEADER]
     for rec in report.records:
         a = "" if rec.a is None else str(rec.a)
-        m1 = "" if rec.m1 is None else format_decimal(rec.m1)
-        m2 = "" if rec.m2 is None else format_decimal(rec.m2)
-        lines.append(f"{rec.b},{rec.c},{a},{rec.ruled_out_reason},{m1},{m2}")
+        m1, m2 = _decimals(rec)
+        lines.append(f"{rec.b},{rec.c},{a},{rec.ruled_out_reason},{m1 or ''},{m2 or ''}")
     for agg in report.aggregates:
         shares = ",".join(s or "" for s in agg.shares())
         lines.append(f"#agg,{agg.c},{agg.retained},{agg.ruled_out},{shares}")
@@ -287,11 +284,7 @@ def scan_report_to_dict(report: ScanReport) -> dict:
     thresholds = {k: format_decimal(t) for k, t in THRESHOLDS.items()}
     return {
         "config": report.config._asdict() | {"thresholds": thresholds, "generator": GENERATOR_ID},
-        "records": [
-            rec._asdict() | {"m1": None if rec.m1 is None else format_decimal(rec.m1),
-                             "m2": None if rec.m2 is None else format_decimal(rec.m2)}
-            for rec in report.records
-        ],
+        "records": [rec._asdict() | dict(zip(("m1", "m2"), _decimals(rec))) for rec in report.records],
         "aggregates": [
             agg._asdict() | {"pct_" + name: s for name, s in zip(_SHARES, agg.shares())}
             for agg in report.aggregates
@@ -302,8 +295,7 @@ def scan_report_to_dict(report: ScanReport) -> dict:
 def write_scan_json(report: ScanReport, path: str) -> None:
     import json  # here, not at the top: only a JSON report needs it
     with open(path, "w") as fh:
-        json.dump(scan_report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(scan_report_to_dict(report), indent=2, sort_keys=True) + "\n")
 
 
 EXAMPLE_B = 31537789

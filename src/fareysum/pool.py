@@ -36,7 +36,8 @@ def ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator[Iterable]:
     With one worker it runs in this process and each result is passed on as
     fn returned it; otherwise over a pool of `worker_count(jobs, len(items))`
     processes holding at most IN_FLIGHT_PER_WORKER tasks per worker in flight,
-    and each result crosses back as a list."""
+    and each result crosses back as a list.  A pool whose worker died raises
+    `ChildProcessError`, an `OSError`."""
     global ProcessPoolExecutor
     workers = worker_count(jobs, len(items))
     if workers == 1:
@@ -44,10 +45,15 @@ def ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator[Iterable]:
         return
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        for item in items:
-            pending.append(pool.submit(_listed, fn, item))
-            if len(pending) == IN_FLIGHT_PER_WORKER * workers:
-                yield pending.popleft().result()
-        yield from (future.result() for future in pending)
+    from concurrent.futures import BrokenExecutor
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            pending = deque()
+            for item in items:
+                pending.append(pool.submit(_listed, fn, item))
+                if len(pending) == IN_FLIGHT_PER_WORKER * workers:
+                    yield pending.popleft().result()
+            yield from (future.result() for future in pending)
+    except BrokenExecutor as exc:
+        # a worker that died (killed, out of memory) is a failed run, not a bug
+        raise ChildProcessError(f"a worker process died: {exc}") from exc

@@ -207,6 +207,18 @@ class TestScan:
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_is_refused(self, capsys, tmp_path, seed):
+        code, out, err = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1",
+            "--b-start", "100000000", "--b-count", "3", "--random", "--seed", seed,
+            "--json", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err == f"fareysum: error: rng_seed must be a 64-bit word in [0, 2**64), got {seed}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--csv", "--json"])
     def test_missing_report_directory_fails_before_scanning(self, capsys, tmp_path, monkeypatch, flag):
         def refuse(*args, **kwargs):

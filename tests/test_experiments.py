@@ -3,12 +3,13 @@
 import json
 import random
 import re
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from math import floor, gcd, isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import prime_to, window_max_q
@@ -57,6 +58,21 @@ class TestFormatting:
         assert format_decimal(Fraction(1, 3), 5) == "0.33333"
         assert format_decimal(Fraction(25, 2), 3) == "12.5"
         assert format_decimal(Fraction(10, 3)) == "3.33333333333"
+
+    @settings(max_examples=300, deadline=None)
+    @given(num=st.integers(-10 ** 40, 10 ** 40), den=st.integers(1, 10 ** 40),
+           sig_digits=st.integers(1, 20))
+    @example(num=0, den=7, sig_digits=1)
+    @example(num=-25, den=2, sig_digits=2)
+    @example(num=10 ** 40, den=3, sig_digits=20)
+    def test_decimal_matches_the_local_context_form(self, num, den, sig_digits):
+        # the rendering format_decimal replaced, kept here as the reference
+        value = Fraction(num, den)
+        with localcontext() as ctx:
+            ctx.prec = sig_digits
+            ctx.rounding = ROUND_HALF_EVEN
+            expected = str(Decimal(value.numerator) / Decimal(value.denominator))
+        assert format_decimal(value, sig_digits) == expected
 
     def test_fixed_places(self):
         assert format_fixed(Fraction(934, 10), 1) == "93.4"
@@ -315,13 +331,19 @@ class TestScan:
             assert theorem1_premise_failure(rec.b, rec.c, cfg.d, rec.a, cfg.n) is None
 
     def test_aggregate_counts_match_records(self):
-        cfg = ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10 ** 8 + 1, b_count=60)
+        # the table's six c; the window holds gcd-failed cells, so ruled_out is exercised
+        cfg = ExperimentConfig(n=12, d=9, c_list=(1, 2, 4, 5, 7, 8), b_start=10 ** 8 + 1, b_count=60)
         report = run_scan(cfg)
-        agg = report.aggregates[0]
-        kept = [r for r in report.records if r.ruled_out_reason == RULED_OUT_NONE]
-        assert agg.retained == len(kept)
-        assert agg.m1_lt_t1_lo == sum(1 for r in kept if r.m1 < Fraction(1, 100))
-        assert agg.m1_ge_t1_hi == sum(1 for r in kept if r.m1 >= Fraction(5, 100))
+        assert any(r.ruled_out_reason == RULED_OUT_GCD for r in report.records)
+        assert [agg.c for agg in report.aggregates] == list(cfg.c_list)
+        for agg in report.aggregates:
+            rows = [r for r in report.records if r.c == agg.c]
+            kept = [r for r in rows if r.ruled_out_reason == RULED_OUT_NONE]
+            assert agg == (agg.c, len(kept), len(rows) - len(kept),
+                           sum(1 for r in kept if r.m1 >= Fraction(5, 100)),
+                           sum(1 for r in kept if r.m1 < Fraction(1, 100)),
+                           sum(1 for r in kept if r.m2 >= Fraction(10, 100)),
+                           sum(1 for r in kept if r.m2 < Fraction(1, 100)))
 
     def test_m2_minus_m1_nonnegative_on_average(self):
         # aggregate tendency at desk scale, not a per-record invariant

@@ -4,9 +4,11 @@ No test here starts a process pool: `ProcessPoolExecutor` is replaced by a
 stand-in that records `max_workers` and runs every task in this process.
 """
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
-from fareysum import counting, pool
+from fareysum import cli, counting, pool
 from fareysum.experiments import ExperimentConfig, run_scan
 from fareysum.pool import worker_count
 
@@ -42,6 +44,18 @@ class DoneFuture:
     def result(self):
         RecordingPool.in_flight -= 1
         return self.value
+
+
+class DeadWorkerPool(RecordingPool):
+    """A stand-in whose workers have all died: every task's result raises."""
+
+    def submit(self, fn, *args):
+        return DeadFuture()
+
+
+class DeadFuture:
+    def result(self):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
 
 @pytest.fixture
@@ -97,11 +111,17 @@ class TestPoolSize:
         assert RecordingPool.sizes == [5]
         assert report == counting.verify_theorem2(5, 4)
 
-    def test_sweep_rows_pool_is_bounded(self, eight_cpus):
-        rows = list(counting.sweep_rows(20, 4, jobs=10 ** 6))
+    def test_sweep_rows_pool_is_bounded(self, eight_cpus, tmp_path):
+        # the pooled sweep writes, row for row, what the serial sweep_rows yields
+        pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
+        report = counting.verify_theorem2(20, 4, jobs=10 ** 6, csv_path=str(pooled))
         assert RecordingPool.sizes == [8]
-        assert rows == list(counting.sweep_rows(20, 4))
+        assert report == counting.verify_theorem2(20, 4)
+        rows = list(counting.sweep_rows(20, 4))
+        assert RecordingPool.sizes == [8]
         assert all(isinstance(row, counting.SweepRow) for row in rows)
+        assert counting.write_sweep_csv(str(serial), rows) == report.rows_checked
+        assert pooled.read_bytes() == serial.read_bytes()
 
     @pytest.mark.parametrize("csv", [False, True])
     def test_sweep_keeps_a_bounded_window_of_n_in_flight(self, eight_cpus, csv, tmp_path):
@@ -112,3 +132,21 @@ class TestPoolSize:
         assert RecordingPool.peak_in_flight == pool.IN_FLIGHT_PER_WORKER * 2 == 8
         assert RecordingPool.in_flight == 0
         assert report == counting.verify_theorem2(40, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n", "12", "--d", "9", "--c", "1,2", "--b-start", "100000001", "--b-count", "10",
+     "--jobs", "2", "--csv"],
+    ["verify-counting", "--max-n", "10", "--max-d", "3", "--jobs", "2", "--csv"],
+], ids=["scan", "verify-counting"])
+def test_dead_worker_is_an_error_not_a_traceback(eight_cpus, monkeypatch, capsys, tmp_path, argv):
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", DeadWorkerPool)
+    code = cli.main(argv + [str(tmp_path / "report.csv")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert RecordingPool.sizes == [2]
+    assert out == ""
+    assert err.splitlines() == [
+        "fareysum: error: a worker process died: "
+        "A process in the process pool was terminated abruptly"]
+    assert list(tmp_path.iterdir()) == []

@@ -57,6 +57,11 @@ BAD_RECORDS = {
     "query_m_not_dividing_n": (GOOD_QUERY, {"m": 4}, "m = 4 must be a positive divisor of n = 6"),
     "config_bad_n": (GOOD_CONFIG, {"n": 0}, "n must lie in [1, 10000], got 0"),
     "config_repeated_c": (GOOD_CONFIG, {"c_list": (1, 2, 1)}, "c = 1 is repeated in c_list"),
+    # splitmix64 keeps only the low 64 bits, so any other seed would echo a value it did not use
+    "config_seed_negative": (GOOD_CONFIG, {"rng_seed": -1},
+                             "rng_seed must be a 64-bit word in [0, 2**64), got -1"),
+    "config_seed_too_large": (GOOD_CONFIG, {"rng_seed": 2 ** 64},
+                              f"rng_seed must be a 64-bit word in [0, 2**64), got {2 ** 64}"),
 }
 
 # every way to build a record: (good record, field changes, all field values)
