@@ -39,13 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
 def _c_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -59,34 +52,34 @@ def _build_parser() -> _Parser:
 
     p_sum = sub.add_parser("sum", help="print S(a, b) exactly and as a decimal")
     p_sum.add_argument("a", type=int)
-    p_sum.add_argument("b", type=_positive)
+    p_sum.add_argument("b", type=int)
 
     p_dec = sub.add_parser("decompose", help="print the (r, j) term table for S(a, b)")
     p_dec.add_argument("a", type=int)
-    p_dec.add_argument("b", type=_positive)
+    p_dec.add_argument("b", type=int)
     p_dec.add_argument("c", type=int)
-    p_dec.add_argument("d", type=_positive)
-    p_dec.add_argument("n", type=_positive)
+    p_dec.add_argument("d", type=int)
+    p_dec.add_argument("n", type=int)
     p_dec.add_argument("--require-theorem1", action="store_true")
     p_dec.add_argument("--json", action="store_true", help="emit the table as JSON")
 
     p_ver = sub.add_parser("verify-counting", help="run the counting cross-check sweep")
-    p_ver.add_argument("--max-n", type=_positive, default=counting.SWEEP_MAX_N_DEFAULT)
-    p_ver.add_argument("--max-d", type=_positive, default=counting.SWEEP_MAX_D_DEFAULT)
+    p_ver.add_argument("--max-n", type=int, default=counting.SWEEP_MAX_N_DEFAULT)
+    p_ver.add_argument("--max-d", type=int, default=counting.SWEEP_MAX_D_DEFAULT)
     p_ver.add_argument("--csv", metavar="PATH", help="also write every check row as CSV")
-    p_ver.add_argument("--jobs", type=_positive, default=1)
+    p_ver.add_argument("--jobs", type=int, default=1)
 
     p_scan = sub.add_parser("scan", help="scan b values and aggregate deviation statistics")
-    p_scan.add_argument("--n", type=_positive, required=True)
-    p_scan.add_argument("--d", type=_positive, required=True)
+    p_scan.add_argument("--n", type=int, required=True)
+    p_scan.add_argument("--d", type=int, required=True)
     p_scan.add_argument("--c", type=_c_list, required=True, metavar="LIST")
-    p_scan.add_argument("--b-start", type=_positive, required=True)
+    p_scan.add_argument("--b-start", type=int, required=True)
     p_scan.add_argument("--b-count", type=int, required=True)
     p_scan.add_argument("--random", action="store_true", help="draw b uniformly from [b_start, 10*b_start)")
     p_scan.add_argument("--seed", type=int, default=0, metavar="U64")
     p_scan.add_argument("--csv", metavar="PATH")
     p_scan.add_argument("--json", metavar="PATH")
-    p_scan.add_argument("--jobs", type=_positive, default=1)
+    p_scan.add_argument("--jobs", type=int, default=1)
 
     sub.add_parser("example", help="reproduce the built-in worked example")
     return parser

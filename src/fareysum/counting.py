@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .farey import require_reduced_c
-from .numtheory import d_part, divisors, euler_phi, require_coprime
+from .numtheory import d_part, divisors, euler_phi, require_coprime, require_range
 from .pool import ordered_map
 
 BRUTE_LIMIT = 10 ** 4
@@ -44,9 +44,10 @@ class CountingQuery(_CountingFields):
 
     def __new__(cls, *args, **kwargs) -> CountingQuery:
         self = super().__new__(cls, *args, **kwargs)
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be positive integers")
-        if self.m < 1 or self.n % self.m != 0:
+        require_range("n", self.n, 1)
+        require_range("d", self.d, 1)
+        require_range("m", self.m, 1, self.n)
+        if self.n % self.m != 0:
             raise ValueError(f"m = {self.m} must be a positive divisor of n = {self.n}")
         require_reduced_c(self.c, self.d)
         return self
@@ -57,17 +58,11 @@ class CountingQuery(_CountingFields):
 
 def lemma1_count(r: int, d: int, s: int) -> int:
     """#{k mod r : gcd(s + k d, r) = 1} = (r)_d phi((r)_d^perp), gcd(s, d) = 1."""
-    if r < 1 or d < 1:
-        raise ValueError("r and d must be positive integers")
+    require_range("r", r, 1)
+    require_range("d", d, 1)
     require_coprime(s, d, "s must be prime to d")
     part = d_part(r, d)
     return part * euler_phi(r // part)
-
-
-def require_enumerable(n: int) -> None:
-    """Brute enumeration of the sigma(n) pairs runs only for n <= BRUTE_LIMIT."""
-    if n > BRUTE_LIMIT:
-        raise ValueError(f"enumeration refused: n = {n} exceeds {BRUTE_LIMIT}")
 
 
 def multiplicity_histogram(n: int, c: int, d: int) -> Counter:
@@ -79,8 +74,8 @@ def multiplicity_histogram(n: int, c: int, d: int) -> Counter:
 
 
 def count_A_brute(query: CountingQuery) -> int:
-    """A(n, m) by direct enumeration of all sigma(n) pairs (r, j)."""
-    require_enumerable(query.n)
+    """A(n, m) by direct enumeration of all sigma(n) pairs (r, j), for n <= BRUTE_LIMIT."""
+    require_range("n", query.n, 1, BRUTE_LIMIT)
     return multiplicity_histogram(query.n, query.c, query.d)[query.m]
 
 
@@ -100,8 +95,8 @@ def count_A_formula(query: CountingQuery) -> int:
 
 def verify_lemma3(n1: int, n2: int, m: int, c: int, d: int) -> bool:
     """Multiplicativity: A(n1 n2, m) = A(n1, (m, n1)) A(n2, (m, n2))."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("n1 and n2 must be positive integers")
+    require_range("n1", n1, 1)
+    require_range("n2", n2, 1)
     require_coprime(n1, n2, "n1 and n2 must be coprime")
     whole = count_A_formula(CountingQuery(n1 * n2, m, c, d))
     part1 = count_A_formula(CountingQuery(n1, gcd(m, n1), c, d))
@@ -157,9 +152,8 @@ def _n_rows(n: int, max_d: int) -> Iterator[list[tuple]]:
 def _sweep_blocks(max_n: int, max_d: int, jobs: int) -> Iterator[list[tuple]]:
     """Every row block of the sweep, ordered by (n, d).  The bounds are
     checked here, before any work starts."""
-    if max_n < 1 or max_d < 1:
-        raise ValueError("sweep bounds must be positive")
-    require_enumerable(max_n)
+    require_range("max_n", max_n, 1, BRUTE_LIMIT)
+    require_range("max_d", max_d, 1)
     return chain.from_iterable(
         ordered_map(partial(_n_rows, max_d=max_d), range(1, max_n + 1), jobs))
 

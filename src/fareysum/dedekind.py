@@ -21,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .numtheory import require_range
+
 NAIVE_LIMIT = 10 ** 6
 
 
@@ -30,10 +32,7 @@ def dedekind_naive(a: int, b: int) -> Fraction:
     For b not dividing x, ((x/b)) = (2(x mod b) - b) / (2b), so the whole
     sum is an integer over the common denominator 4b^2.
     """
-    if b < 1:
-        raise ValueError("b must be a positive integer")
-    if b > NAIVE_LIMIT:
-        raise ValueError(f"direct summation refused: b={b} exceeds limit={NAIVE_LIMIT}")
+    require_range("b", b, 1, NAIVE_LIMIT)
     total = 0
     m = 0  # a*k mod b, updated incrementally
     for k in range(1, b):
@@ -51,8 +50,7 @@ def dedekind_fast(a: int, b: int) -> Fraction:
     of the partial quotients and a's coefficients; it leaves through the
     first exit when t is odd and through the second when t is even.
     """
-    if b < 1:
-        raise ValueError("b must be a positive integer")
+    require_range("b", b, 1)
     a %= b
     if a == 0:
         return Fraction(0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .numtheory import require_coprime
+from .numtheory import require_coprime, require_range
 
 
 class PremiseError(ValueError):
@@ -26,15 +26,14 @@ class PremiseError(ValueError):
 
 def require_reduced_c(c: int, d: int) -> None:
     """Reject a Farey numerator c unless c lies in [0, d) and c/d is reduced."""
-    if not 0 <= c < d:
-        raise ValueError(f"c = {c} must lie in [0, d = {d})")
+    require_range("c", c, 0, d - 1)
     require_coprime(c, d, "c/d must be reduced")
 
 
 def _validate_neighbour_data(b: int, c: int, d: int, a: int) -> None:
     """Reject (b, c, d, a) unless b, d >= 1, c/d is reduced, d^3 < b and a is prime to b."""
-    if b < 1 or d < 1:
-        raise ValueError("b and d must be positive integers")
+    require_range("b", b, 1)
+    require_range("d", d, 1)
     require_coprime(c, d, "c/d must be reduced")
     if d ** 3 >= b:
         raise ValueError(f"Farey order out of range: d^3 = {d ** 3} >= b = {b}")
@@ -82,8 +81,7 @@ def is_farey_neighbour(b: int, c: int, d: int, a: int) -> bool:
 def theorem1_premise_failure(b: int, c: int, d: int, a: int, n: int) -> str | None:
     """Name of the first failing premise inequality, or None if all hold."""
     _validate_neighbour_data(b, c, d, a)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    require_range("n", n, 1)
     lhs = b - d ** 3 * n * n * (n + 1)
     if lhs < 0 or lhs * lhs < 4 * d ** 6 * n ** 5:
         return (

@@ -20,15 +20,9 @@ from typing import NamedTuple
 
 from .dedekind import dedekind_fast
 from .farey import FareyContext, PremiseError, theorem1_premise_failure
-from .numtheory import divisors, require_coprime, sigma
+from .numtheory import divisors, require_coprime, require_range, sigma
 
 N_LIMIT = 10 ** 4
-
-
-def require_n_in_range(n: int) -> None:
-    """The decomposition order n must lie in [1, N_LIMIT]."""
-    if not 1 <= n <= N_LIMIT:
-        raise ValueError(f"n must lie in [1, {N_LIMIT}], got {n}")
 
 
 class KnoppTerm(NamedTuple):
@@ -83,9 +77,9 @@ def decompose(
     Each term is a pure function of (a, b, c, d, n, r, j), so the list is
     deterministic however the terms are evaluated.
     """
-    if b < 1 or d < 1:
-        raise ValueError("b and d must be positive integers")
-    require_n_in_range(n)
+    require_range("b", b, 1)
+    require_range("d", d, 1)
+    require_range("n", n, 1, N_LIMIT)
     require_coprime(c, d, "c/d must be reduced")
     q = a * d - b * c
     if q == 0:

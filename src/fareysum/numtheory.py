@@ -4,7 +4,9 @@ Every value here is an int or a tuple of ints; floating point never
 participates in a decision anywhere in the package.  The rest of the
 package uses `math.gcd` and `math.isqrt` directly, and its rational values
 are `fractions.Fraction`, which keeps numerator and denominator in lowest
-terms with a positive denominator after every operation.
+terms with a positive denominator after every operation.  `require_range`
+and `require_coprime` are the package's one home for its range and
+coprimality rules, and for their texts.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ _WHEEL = (2, 4)
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """(prime, exponent) pairs of n >= 1, primes ascending, by trial division."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
+    require_range("n", n, 1)
     m = n
     factors = []
     for p in (2, 3):
@@ -45,6 +46,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
+def require_range(name: str, value: int, lo: int, hi: int | None = None) -> None:
+    """Raise ValueError unless value is an int in [lo, hi], or >= lo when hi is None."""
+    if type(value) is not int or value < lo or hi is not None and value > hi:
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 def require_coprime(x: int, y: int, rule: str) -> None:
     """Raise ValueError("<rule>: gcd(x, y) = g") unless gcd(x, y) = 1."""
     g = math.gcd(x, y)
@@ -58,8 +66,8 @@ def d_part(r: int, d: int) -> int:
     Iterated gcd peeling: each pass moves every shared prime's full power
     out of r, so no factorization is needed.
     """
-    if r < 1 or d < 1:
-        raise ValueError("d_part expects positive integers")
+    require_range("r", r, 1)
+    require_range("d", d, 1)
     out = 1
     g = math.gcd(r, d)
     while g > 1:

@@ -13,12 +13,15 @@ import os
 from collections import deque
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .numtheory import require_range
+
 IN_FLIGHT_PER_WORKER = 4
 ProcessPoolExecutor = None  # concurrent.futures.ProcessPoolExecutor, once a pool is needed
 
 
 def worker_count(jobs: int, tasks: int) -> int:
-    """min(jobs, usable CPUs, tasks), and at least 1."""
+    """min(jobs, usable CPUs, tasks), and at least 1; refuses jobs below 1."""
+    require_range("jobs", jobs, 1)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -36,13 +39,16 @@ def ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator[Iterable]:
     With one worker it runs in this process and each result is passed on as
     fn returned it; otherwise over a pool of `worker_count(jobs, len(items))`
     processes holding at most IN_FLIGHT_PER_WORKER tasks per worker in flight,
-    and each result crosses back as a list.  A pool whose worker died raises
-    `ChildProcessError`, an `OSError`."""
-    global ProcessPoolExecutor
+    and each result crosses back as a list.  `jobs` is checked at the call,
+    before any item runs.  A pool whose worker died raises `ChildProcessError`,
+    an `OSError`."""
     workers = worker_count(jobs, len(items))
-    if workers == 1:
-        yield from map(fn, items)
-        return
+    return map(fn, items) if workers == 1 else _pooled(fn, items, workers)
+
+
+def _pooled(fn: Callable, items: Sequence, workers: int) -> Iterator[list]:
+    """`ordered_map` over a pool of `workers` processes."""
+    global ProcessPoolExecutor
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures import BrokenExecutor

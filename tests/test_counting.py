@@ -194,9 +194,9 @@ class TestTheorem2Sweep:
 
         monkeypatch.setattr(counting, "multiplicity_histogram", refuse)
         for sweep in (verify_theorem2, sweep_rows):
-            with pytest.raises(ValueError, match="enumeration refused: n = 10001 exceeds 10000"):
+            with pytest.raises(ValueError, match=r"max_n must be an integer in \[1, 10000\], got 10001"):
                 sweep(10 ** 4 + 1, 1)
-        with pytest.raises(ValueError, match="enumeration refused: n = 10001 exceeds 10000"):
+        with pytest.raises(ValueError, match=r"n must be an integer in \[1, 10000\], got 10001"):
             count_A_brute(CountingQuery(10 ** 4 + 1, 1, 0, 1))
 
 

@@ -101,7 +101,7 @@ class TestNaive:
                 assert dedekind_naive(a, b) == dedekind_by_definition(a, b)
 
     def test_refuses_large_modulus(self):
-        with pytest.raises(ValueError, match=f"exceeds limit={NAIVE_LIMIT}"):
+        with pytest.raises(ValueError, match=rf"b must be an integer in \[1, {NAIVE_LIMIT}\], got {NAIVE_LIMIT + 1}"):
             dedekind_naive(1, NAIVE_LIMIT + 1)
 
     def test_rejects_nonpositive_modulus(self):

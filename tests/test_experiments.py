@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import tracemalloc
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
@@ -80,6 +81,31 @@ class TestFormatting:
         assert format_fixed(Fraction(3, 8), 2) == "0.38"
         assert format_fixed(Fraction(-1, 8), 2) == "-0.12"
         assert format_fixed(Fraction(7), 0) == "7"
+
+    @settings(max_examples=300, deadline=None)
+    @given(num=st.integers(-10 ** 30, 10 ** 30), den=st.integers(1, 10 ** 30),
+           places=st.integers(0, 8), tie=st.booleans())
+    @example(num=1, den=8, places=2, tie=False)
+    @example(num=-1, den=8, places=2, tie=False)
+    @example(num=-5, den=2, places=0, tie=False)
+    @example(num=-1, den=100, places=1, tie=False)  # a negative that rounds to "0.0"
+    @example(num=10 ** 30, den=3, places=8, tie=False)
+    def test_fixed_matches_the_divmod_form(self, num, den, places, tie):
+        # a tie puts the value exactly halfway between two renderings
+        value = Fraction(2 * num + 1, 2 * 10 ** places) if tie else Fraction(num, den)
+        # the rendering format_fixed replaced, kept here as the reference
+        scaled = value * 10 ** places
+        q, r = divmod(scaled.numerator, scaled.denominator)
+        double = 2 * r
+        if double > scaled.denominator or (double == scaled.denominator and q % 2):
+            q += 1
+        sign = "-" if q < 0 else ""
+        q = abs(q)
+        if places == 0:
+            expected = f"{sign}{q}"
+        else:
+            expected = f"{sign}{q // 10 ** places}.{q % 10 ** places:0{places}d}"
+        assert format_fixed(value, places) == expected
 
 
 class TestSplitMix64:
@@ -259,7 +285,7 @@ class TestConfigValidation:
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError, match=re.escape("c/d must be reduced: gcd(3, 9) = 3")):
             ExperimentConfig(n=12, d=9, c_list=(3,), b_start=10, b_count=1)
-        with pytest.raises(ValueError, match=re.escape("c = 9 must lie in [0, d = 9)")):
+        with pytest.raises(ValueError, match=re.escape("c must be an integer in [0, 8], got 9")):
             ExperimentConfig(n=12, d=9, c_list=(9,), b_start=10, b_count=1)
 
     def test_rejects_bad_mode(self):
@@ -274,12 +300,12 @@ class TestConfigValidation:
         # refused up front by the decomposition's own bound, not only once a
         # retained cell is decomposed; n = 0 falls outside the same [1, 10000]
         for n in (10001, 0):
-            with pytest.raises(ValueError, match=re.escape(f"n must lie in [1, 10000], got {n}")):
+            with pytest.raises(ValueError, match=re.escape(f"n must be an integer in [1, 10000], got {n}")):
                 ExperimentConfig(n=n, d=1, c_list=(0,), b_start=5, b_count=3)
         assert ExperimentConfig(n=10000, d=1, c_list=(0,), b_start=5, b_count=3).n == 10000
 
     def test_rejects_non_positive_d(self):
-        with pytest.raises(ValueError, match="d must be a positive integer"):
+        with pytest.raises(ValueError, match="d must be an integer >= 1, got 0"):
             ExperimentConfig(n=12, d=0, c_list=(0,), b_start=5, b_count=3)
 
     def test_rejects_repeated_c(self):
@@ -407,6 +433,25 @@ class TestReports:
         path = tmp_path / "report.json"
         write_scan_json(report, str(path))
         assert json.loads(path.read_text())["config"]["n"] == 12
+
+    def test_json_is_streamed(self, tmp_path):
+        # the writer never holds the whole text: past the dict it renders, its
+        # peak stays under half the file, however many records there are
+        cfg = ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=10 ** 8 + 1, b_count=10)
+        report = run_scan(cfg)
+        report = report._replace(records=report.records * 100)
+        path = tmp_path / "report.json"
+        write_scan_json(report, str(path))  # imports json outside the measurement
+        tracemalloc.start()
+        try:
+            scan_report_to_dict(report)
+            dict_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            write_scan_json(report, str(path))
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert write_peak - dict_peak < path.stat().st_size // 2
 
     def test_csv_layout(self):
         cfg = ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10 ** 8 + 1, b_count=8)

@@ -134,6 +134,14 @@ class TestPoolSize:
         assert report == counting.verify_theorem2(40, 3)
 
 
+def test_jobs_below_one_is_refused_before_any_work(tmp_path):
+    # ordered_map checks jobs when it is called, so the sweep never opens its CSV
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="^jobs must be an integer >= 1, got 0$"):
+        counting.verify_theorem2(3, 2, jobs=0, csv_path=str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--n", "12", "--d", "9", "--c", "1,2", "--b-start", "100000001", "--b-count", "10",
      "--jobs", "2", "--csv"],

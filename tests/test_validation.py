@@ -2,20 +2,29 @@
 
 The coprimality rules ("c/d must be reduced", "a must be prime to b") each
 have one home, so the message an unreduced c/d or a non-coprime a produces
-is the same whichever function receives it.  The two validated records,
-`CountingQuery` and `ExperimentConfig`, check their fields however they
-are built: by call, `_make`, `_replace` or a pickle round trip.
+is the same whichever function receives it.  So has the range rule
+(`numtheory.require_range`): every bound on an integer argument, and its
+type, is checked and worded there, for the library and the CLI alike.  The
+two validated records, `CountingQuery` and `ExperimentConfig`, check their
+fields however they are built: by call, `_make`, `_replace` or a pickle
+round trip.
 """
 
 import pickle
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fareysum.counting import CountingQuery, lemma1_count
-from fareysum.experiments import ExperimentConfig
+import fareysum
+from fareysum import cli
+from fareysum.counting import CountingQuery, lemma1_count, verify_lemma3, verify_theorem2
+from fareysum.dedekind import dedekind_fast, dedekind_naive
+from fareysum.experiments import ExperimentConfig, format_decimal, run_scan, select_neighbour
 from fareysum.farey import farey_context, is_farey_neighbour, theorem1_premise_failure
 from fareysum.knopp import decompose
+from fareysum.numtheory import d_part, factorize
 
 NOT_PRIME_TO_B = "a must be prime to b: gcd(10, 100) = 10"
 
@@ -52,16 +61,22 @@ def test_rejections_share_one_text(name):
 # a valid record, the fields that make it invalid, and the message they give
 GOOD_QUERY = CountingQuery(6, 3, 1, 3)
 GOOD_CONFIG = ExperimentConfig(n=2, d=3, c_list=(1, 2), b_start=1000, b_count=1)
+SEED_RANGE = f"rng_seed must be an integer in [0, {2 ** 64 - 1}]"
 BAD_RECORDS = {
-    "query_bad_n": (GOOD_QUERY, {"n": 0}, "n and d must be positive integers"),
+    "query_bad_n": (GOOD_QUERY, {"n": 0}, "n must be an integer >= 1, got 0"),
+    "query_bad_d": (GOOD_QUERY, {"d": 0}, "d must be an integer >= 1, got 0"),
+    # 6 % 2.0 == 0.0, so only the type check refuses a float m
+    "query_float_m": (GOOD_QUERY, {"m": 2.0}, "m must be an integer in [1, 6], got 2.0"),
     "query_m_not_dividing_n": (GOOD_QUERY, {"m": 4}, "m = 4 must be a positive divisor of n = 6"),
-    "config_bad_n": (GOOD_CONFIG, {"n": 0}, "n must lie in [1, 10000], got 0"),
+    "config_bad_n": (GOOD_CONFIG, {"n": 0}, "n must be an integer in [1, 10000], got 0"),
+    "config_bad_d": (GOOD_CONFIG, {"d": 0}, "d must be an integer >= 1, got 0"),
+    "config_negative_b_count": (GOOD_CONFIG, {"b_count": -1}, "b_count must be an integer >= 0, got -1"),
+    "config_float_b_count": (GOOD_CONFIG, {"b_count": 2.0}, "b_count must be an integer >= 0, got 2.0"),
     "config_repeated_c": (GOOD_CONFIG, {"c_list": (1, 2, 1)}, "c = 1 is repeated in c_list"),
     # splitmix64 keeps only the low 64 bits, so any other seed would echo a value it did not use
-    "config_seed_negative": (GOOD_CONFIG, {"rng_seed": -1},
-                             "rng_seed must be a 64-bit word in [0, 2**64), got -1"),
-    "config_seed_too_large": (GOOD_CONFIG, {"rng_seed": 2 ** 64},
-                              f"rng_seed must be a 64-bit word in [0, 2**64), got {2 ** 64}"),
+    "config_seed_negative": (GOOD_CONFIG, {"rng_seed": -1}, f"{SEED_RANGE}, got -1"),
+    "config_seed_too_large": (GOOD_CONFIG, {"rng_seed": 2 ** 64}, f"{SEED_RANGE}, got {2 ** 64}"),
+    "config_float_seed": (GOOD_CONFIG, {"rng_seed": 5.0}, f"{SEED_RANGE}, got 5.0"),
 }
 
 # every way to build a record: (good record, field changes, all field values)
@@ -84,3 +99,73 @@ def test_records_validate_on_every_construction_path(case, build):
     values = [changes.get(name, value) for name, value in zip(good._fields, good)]
     with pytest.raises(ValueError, match=re.escape(message)):
         BUILDS[build](good, changes, values)
+
+
+TABLE_CONFIG = ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10 ** 8 + 1, b_count=2)
+# entry point -> calls with a 0, out-of-range or float argument, and the one text each gives
+RANGE_CASES = {
+    "dedekind_fast": [(lambda: dedekind_fast(1, 0), "b must be an integer >= 1, got 0"),
+                      (lambda: dedekind_fast(1, 7.0), "b must be an integer >= 1, got 7.0")],
+    "dedekind_naive": [(lambda: dedekind_naive(1, 0), "b must be an integer in [1, 1000000], got 0"),
+                       (lambda: dedekind_naive(1, 7.0), "b must be an integer in [1, 1000000], got 7.0")],
+    "decompose": [(lambda: decompose(1, 3, 0, 0, 2), "d must be an integer >= 1, got 0"),
+                  (lambda: decompose(1, 3, 0, 1, 10 ** 4 + 1), "n must be an integer in [1, 10000], got 10001"),
+                  (lambda: decompose(1, 3, 0, 1, 2.0), "n must be an integer in [1, 10000], got 2.0")],
+    "is_farey_neighbour": [(lambda: is_farey_neighbour(1000, 1, 0, 112), "d must be an integer >= 1, got 0"),
+                           (lambda: is_farey_neighbour(1000.0, 1, 9, 112), "b must be an integer >= 1, got 1000.0")],
+    "theorem1_premise_failure": [
+        (lambda: theorem1_premise_failure(10 ** 8, 1, 9, 11111111, 0), "n must be an integer >= 1, got 0"),
+        (lambda: theorem1_premise_failure(10 ** 8, 1, 9, 11111111, 12.0), "n must be an integer >= 1, got 12.0")],
+    "select_neighbour": [(lambda: select_neighbour(0, 1, 9, 12), "b must be an integer >= 1, got 0"),
+                         (lambda: select_neighbour(10 ** 8, 1, 9, 12.0), "n must be an integer >= 1, got 12.0")],
+    "lemma1_count": [(lambda: lemma1_count(0, 3, 1), "r must be an integer >= 1, got 0"),
+                     (lambda: lemma1_count(4, 3.0, 1), "d must be an integer >= 1, got 3.0")],
+    "verify_lemma3": [(lambda: verify_lemma3(0, 3, 1, 1, 3), "n1 must be an integer >= 1, got 0"),
+                      (lambda: verify_lemma3(2, 3.0, 1, 1, 3), "n2 must be an integer >= 1, got 3.0")],
+    "d_part": [(lambda: d_part(0, 3), "r must be an integer >= 1, got 0"),
+               (lambda: d_part(4, 2.0), "d must be an integer >= 1, got 2.0")],
+    "factorize": [(lambda: factorize(0), "n must be an integer >= 1, got 0"),
+                  (lambda: factorize(2.0), "n must be an integer >= 1, got 2.0")],
+    "format_decimal": [(lambda: format_decimal(Fraction(1, 3), 0), "sig_digits must be an integer >= 1, got 0"),
+                       (lambda: format_decimal(Fraction(1, 3), 2.0), "sig_digits must be an integer >= 1, got 2.0")],
+    "verify_theorem2": [(lambda: verify_theorem2(0, 3), "max_n must be an integer in [1, 10000], got 0"),
+                        (lambda: verify_theorem2(3, 2.0), "max_d must be an integer >= 1, got 2.0")],
+    "run_scan": [(lambda: run_scan(TABLE_CONFIG, jobs=0), "jobs must be an integer >= 1, got 0"),
+                 (lambda: run_scan(TABLE_CONFIG, jobs=2.0), "jobs must be an integer >= 1, got 2.0")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_CASES))
+def test_range_rejections_share_one_text(name):
+    for call, message in RANGE_CASES[name]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--n", "12", "--d", "9", "--c", "1", "--b-start", "100000001", "--b-count", "4",
+      "--jobs", "0", "--csv"], "jobs must be an integer >= 1, got 0"),
+    (["verify-counting", "--max-n", "10", "--max-d", "3", "--jobs", "0", "--csv"],
+     "jobs must be an integer >= 1, got 0"),
+    (["sum", "1", "0"], "b must be an integer >= 1, got 0"),
+], ids=["scan-jobs", "verify-counting-jobs", "sum"])
+def test_cli_ranges_give_the_library_text(capsys, tmp_path, argv, message):
+    if argv[-1] == "--csv":
+        argv = argv + [str(tmp_path / "report.csv")]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"fareysum: error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+RANGE_PHRASES = ("must be an integer", "positive integer", "must lie in", "must be >=")
+
+
+def test_range_rule_is_worded_only_in_numtheory():
+    package = Path(fareysum.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "numtheory.py":
+            text = path.read_text()
+            assert not [phrase for phrase in RANGE_PHRASES if phrase in text], path.name
