@@ -51,6 +51,7 @@ def dedekind_fast(a: int, b: int) -> Fraction:
     first exit when t is odd and through the second when t is even.
     """
     require_range("b", b, 1)
+    require_range("a", a)
     a %= b
     if a == 0:
         return Fraction(0)

@@ -21,7 +21,7 @@ from math import gcd, isqrt, lcm
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .farey import require_reduced_c, satisfies_theorem1_premises
+from .farey import require_farey_point, require_reduced_c, satisfies_theorem1_premises
 from .knopp import N_LIMIT, Decomposition, _deviation_pairs, decompose, deviation_profile
 from .numtheory import require_range, sigma
 from .pool import ordered_map, worker_count
@@ -155,8 +155,7 @@ def select_neighbour(b: int, c: int, d: int, n: int) -> tuple[int | None, str]:
     fail the coprimality or premise checks.  A b <= d^3 fails the alpha
     premise (b > d^3 n^2 (n+1)) whatever a is, so it is ruled out at once.
     """
-    require_range("b", b, 1)
-    require_range("d", d, 1)
+    require_farey_point(b, c, d)
     require_range("n", n, 1)
     if d ** 3 >= b:
         return None, RULED_OUT_PREMISES

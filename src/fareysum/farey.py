@@ -30,14 +30,30 @@ def require_reduced_c(c: int, d: int) -> None:
     require_coprime(c, d, "c/d must be reduced")
 
 
-def _validate_neighbour_data(b: int, c: int, d: int, a: int) -> None:
-    """Reject (b, c, d, a) unless b, d >= 1, c/d is reduced, d^3 < b and a is prime to b."""
+def require_farey_point(b: int, c: int, d: int) -> None:
+    """Reject b*c/d unless b, d >= 1 and c/d is reduced; c may lie outside [0, d)."""
     require_range("b", b, 1)
     require_range("d", d, 1)
+    require_range("c", c)
     require_coprime(c, d, "c/d must be reduced")
+
+
+def _window_failure(b: int, c: int, d: int, a: int, n: int) -> str | None:
+    """Reject data that is not a Farey point with d^3 < b, a prime to b and n >= 1;
+    then name the failing half of 0 < q/d <= alpha/n - 1, or None."""
+    require_farey_point(b, c, d)
     if d ** 3 >= b:
         raise ValueError(f"Farey order out of range: d^3 = {d ** 3} >= b = {b}")
+    require_range("a", a)
     require_coprime(a, b, "a must be prime to b")
+    require_range("n", n, 1)
+    q = a * d - b * c
+    if q <= 0:
+        return f"strict positivity fails: q = ad - bc = {q} <= 0"
+    window = n * n * (q + d) ** 2 * d
+    if window > b:
+        return f"admissible window fails: n^2 (q+d)^2 d = {window} > b = {b} (q={q})"
+    return None
 
 
 class FareyContext(NamedTuple):
@@ -57,14 +73,11 @@ def farey_context(b: int, c: int, d: int, a: int) -> FareyContext:
     multiple of b (harmless by periodicity of S); q is unchanged, and so is
     every condition `is_farey_neighbour` checks.
     """
-    q = a * d - b * c
-    if not is_farey_neighbour(b, c, d, a):
-        raise ValueError(
-            f"a is not a right-half Farey neighbour: need q = ad - bc > 0 and "
-            f"d(q+d)^2 <= b (q = {q}, b = {b})"
-        )
+    failure = _window_failure(b, c, d, a, 1)
+    if failure is not None:
+        raise ValueError(f"a is not a right-half Farey neighbour: {failure}")
     t = c // d
-    return FareyContext(b, c - t * d, d, a - t * b, q)
+    return FareyContext(b, c - t * d, d, a - t * b, a * d - b * c)
 
 
 def is_farey_neighbour(b: int, c: int, d: int, a: int) -> bool:
@@ -73,30 +86,19 @@ def is_farey_neighbour(b: int, c: int, d: int, a: int) -> bool:
     c is not required to lie in [0, d): reduced quadruples arising from
     decompositions may carry c >= d, and the predicate is unaffected.
     """
-    _validate_neighbour_data(b, c, d, a)
-    q = a * d - b * c
-    return q > 0 and d * (q + d) ** 2 <= b
+    return _window_failure(b, c, d, a, 1) is None
 
 
 def theorem1_premise_failure(b: int, c: int, d: int, a: int, n: int) -> str | None:
     """Name of the first failing premise inequality, or None if all hold."""
-    _validate_neighbour_data(b, c, d, a)
-    require_range("n", n, 1)
+    window = _window_failure(b, c, d, a, n)
     lhs = b - d ** 3 * n * n * (n + 1)
     if lhs < 0 or lhs * lhs < 4 * d ** 6 * n ** 5:
         return (
             "alpha lower bound fails: need b - d^3 n^2 (n+1) >= 0 and "
             f"(b - d^3 n^2 (n+1))^2 >= 4 d^6 n^5 (b={b}, d={d}, n={n})"
         )
-    q = a * d - b * c
-    if q <= 0:
-        return f"strict positivity fails: q = ad - bc = {q} <= 0"
-    if n * n * (q + d) ** 2 * d > b:
-        return (
-            "admissible window fails: n^2 (q+d)^2 d = "
-            f"{n * n * (q + d) ** 2 * d} > b = {b} (q={q})"
-        )
-    return None
+    return window
 
 
 def satisfies_theorem1_premises(b: int, c: int, d: int, a: int, n: int) -> bool:

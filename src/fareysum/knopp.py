@@ -19,8 +19,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .dedekind import dedekind_fast
-from .farey import FareyContext, PremiseError, theorem1_premise_failure
-from .numtheory import divisors, require_coprime, require_range, sigma
+from .farey import FareyContext, PremiseError, require_farey_point, theorem1_premise_failure
+from .numtheory import divisors, require_range, sigma
 
 N_LIMIT = 10 ** 4
 
@@ -77,10 +77,8 @@ def decompose(
     Each term is a pure function of (a, b, c, d, n, r, j), so the list is
     deterministic however the terms are evaluated.
     """
-    require_range("b", b, 1)
-    require_range("d", d, 1)
+    require_farey_point(b, c, d)
     require_range("n", n, 1, N_LIMIT)
-    require_coprime(c, d, "c/d must be reduced")
     q = a * d - b * c
     if q == 0:
         raise ValueError("degenerate base: ad = bc")
@@ -136,19 +134,10 @@ def deviation_profile(dec: Decomposition) -> list[tuple[int, int, int, Fraction]
 
 
 def three_term_residual(ctx: FareyContext) -> Fraction:
-    """S(a,b) - b/(dq) - S(c,d) - d/(bq) - q/(db) + 3.
+    """S(a,b) - S(c,d) - (b^2 + d^2 + q^2)/(bdq) + 3.
 
     By the three-term relation this equals S(t, q), t = -(u a + v b) mod q
     for any u, v with u c + v d = 1, so the caller may rely on |result| < q.
     """
     b, c, d, a, q = ctx.b, ctx.c, ctx.d, ctx.a, ctx.q
-    s_ab = 12 * dedekind_fast(a, b)
-    s_cd = 12 * dedekind_fast(c, d)
-    return (
-        s_ab
-        - Fraction(b, d * q)
-        - s_cd
-        - Fraction(d, b * q)
-        - Fraction(q, d * b)
-        + 3
-    )
+    return 12 * dedekind_fast(a, b) - 12 * dedekind_fast(c, d) - Fraction(b * b + d * d + q * q, b * d * q) + 3

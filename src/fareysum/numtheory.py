@@ -14,9 +14,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-# Trial-division wheel past 2 and 3: candidates 5, 7, 11, 13, ... step 2, 4, 2, 4, ...
-_WHEEL = (2, 4)
-
 
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -24,14 +21,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     require_range("n", n, 1)
     m = n
     factors = []
-    for p in (2, 3):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-    p, step = 5, 0
+    p = 2
     while p * p <= m:
         if m % p == 0:
             e = 0
@@ -39,18 +29,17 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             factors.append((p, e))
-        p += _WHEEL[step]
-        step ^= 1
+        p += 1 if p == 2 else 2
     if m > 1:
         factors.append((m, 1))
     return tuple(factors)
 
 
-def require_range(name: str, value: int, lo: int, hi: int | None = None) -> None:
-    """Raise ValueError unless value is an int in [lo, hi], or >= lo when hi is None."""
-    if type(value) is not int or value < lo or hi is not None and value > hi:
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+def require_range(name: str, value: int, lo: int | None = None, hi: int | None = None) -> None:
+    """Raise ValueError unless value is an int in [lo, hi], >= lo when hi is None, or any int when lo is None."""
+    if type(value) is not int or lo is not None and (value < lo or hi is not None and value > hi):
+        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def require_coprime(x: int, y: int, rule: str) -> None:

@@ -118,6 +118,15 @@ class TestFareyContext:
         with pytest.raises(ValueError, match="not a right-half Farey neighbour"):
             farey_context(100, 1, 3, 33)
 
+    @pytest.mark.parametrize("b, c, d, a, failure", [
+        (100, 1, 3, 33, "strict positivity fails: q = ad - bc = -1 <= 0"),
+        (100, 0, 1, 11, "admissible window fails: n^2 (q+d)^2 d = 144 > b = 100 (q=11)"),
+    ], ids=["positivity", "window"])
+    def test_rejection_names_the_failing_inequality(self, b, c, d, a, failure):
+        message = f"a is not a right-half Farey neighbour: {failure}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            farey_context(b, c, d, a)
+
     def test_accessors(self):
         ctx = farey_context(100, 0, 1, 9)
         assert isinstance(ctx, FareyContext)

@@ -160,6 +160,20 @@ class TestMultiplicativeFunctions:
             assert all(e >= 1 for _, e in fn)
             for p in primes:
                 assert all(p % q != 0 for q in range(2, p)) or p < 4
+        # every n up to 10^4, the largest any CLI or benchmark path factorizes,
+        # against a smallest-prime-factor sieve
+        limit = 10 ** 4
+        spf = list(range(limit + 1))
+        for p in range(2, isqrt(limit) + 1):
+            if spf[p] == p:
+                for k in range(p * p, limit + 1, p):
+                    spf[k] = min(spf[k], p)
+        for n in range(1, limit + 1):
+            expected, m = {}, n
+            while m > 1:
+                expected[spf[m]] = expected.get(spf[m], 0) + 1
+                m //= spf[m]
+            assert factorize(n) == tuple(sorted(expected.items()))
 
     def test_factorize_rejects_nonpositive(self):
         with pytest.raises(ValueError):

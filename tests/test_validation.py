@@ -10,6 +10,7 @@ fields however they are built: by call, `_make`, `_replace` or a pickle
 round trip.
 """
 
+import inspect
 import pickle
 import re
 from fractions import Fraction
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import fareysum
-from fareysum import cli
+from fareysum import cli, farey
 from fareysum.counting import CountingQuery, lemma1_count, verify_lemma3, verify_theorem2
 from fareysum.dedekind import dedekind_fast, dedekind_naive
 from fareysum.experiments import ExperimentConfig, format_decimal, run_scan, select_neighbour
@@ -43,6 +44,8 @@ ENTRY_POINTS = {
     "ExperimentConfig": (
         lambda: ExperimentConfig(n=1, d=4, c_list=(2,), b_start=1000, b_count=1), None),
     "lemma1_count": (lambda: lemma1_count(4, 4, 2), None),
+    # a candidate a that is not prime to b is classified, not refused
+    "select_neighbour": (lambda: select_neighbour(102, 2, 4, 1), None),
 }
 
 
@@ -105,19 +108,23 @@ TABLE_CONFIG = ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10 ** 8 + 1, b_c
 # entry point -> calls with a 0, out-of-range or float argument, and the one text each gives
 RANGE_CASES = {
     "dedekind_fast": [(lambda: dedekind_fast(1, 0), "b must be an integer >= 1, got 0"),
-                      (lambda: dedekind_fast(1, 7.0), "b must be an integer >= 1, got 7.0")],
+                      (lambda: dedekind_fast(1, 7.0), "b must be an integer >= 1, got 7.0"),
+                      (lambda: dedekind_fast(1.5, 7), "a must be an integer, got 1.5")],
     "dedekind_naive": [(lambda: dedekind_naive(1, 0), "b must be an integer in [1, 1000000], got 0"),
                        (lambda: dedekind_naive(1, 7.0), "b must be an integer in [1, 1000000], got 7.0")],
     "decompose": [(lambda: decompose(1, 3, 0, 0, 2), "d must be an integer >= 1, got 0"),
                   (lambda: decompose(1, 3, 0, 1, 10 ** 4 + 1), "n must be an integer in [1, 10000], got 10001"),
-                  (lambda: decompose(1, 3, 0, 1, 2.0), "n must be an integer in [1, 10000], got 2.0")],
+                  (lambda: decompose(1, 3, 0, 1, 2.0), "n must be an integer in [1, 10000], got 2.0"),
+                  (lambda: decompose(2.0, 7, 0, 1, 2), "a must be an integer, got 2.0")],
     "is_farey_neighbour": [(lambda: is_farey_neighbour(1000, 1, 0, 112), "d must be an integer >= 1, got 0"),
-                           (lambda: is_farey_neighbour(1000.0, 1, 9, 112), "b must be an integer >= 1, got 1000.0")],
+                           (lambda: is_farey_neighbour(1000.0, 1, 9, 112), "b must be an integer >= 1, got 1000.0"),
+                           (lambda: is_farey_neighbour(1000, 1.0, 9, 112), "c must be an integer, got 1.0")],
     "theorem1_premise_failure": [
         (lambda: theorem1_premise_failure(10 ** 8, 1, 9, 11111111, 0), "n must be an integer >= 1, got 0"),
         (lambda: theorem1_premise_failure(10 ** 8, 1, 9, 11111111, 12.0), "n must be an integer >= 1, got 12.0")],
     "select_neighbour": [(lambda: select_neighbour(0, 1, 9, 12), "b must be an integer >= 1, got 0"),
-                         (lambda: select_neighbour(10 ** 8, 1, 9, 12.0), "n must be an integer >= 1, got 12.0")],
+                         (lambda: select_neighbour(10 ** 8, 1, 9, 12.0), "n must be an integer >= 1, got 12.0"),
+                         (lambda: select_neighbour(10 ** 8 + 1, 1.0, 9, 12), "c must be an integer, got 1.0")],
     "lemma1_count": [(lambda: lemma1_count(0, 3, 1), "r must be an integer >= 1, got 0"),
                      (lambda: lemma1_count(4, 3.0, 1), "d must be an integer >= 1, got 3.0")],
     "verify_lemma3": [(lambda: verify_lemma3(0, 3, 1, 1, 3), "n1 must be an integer >= 1, got 0"),
@@ -169,3 +176,19 @@ def test_range_rule_is_worded_only_in_numtheory():
         if path.name != "numtheory.py":
             text = path.read_text()
             assert not [phrase for phrase in RANGE_PHRASES if phrase in text], path.name
+
+
+FAREY_PHRASES = ("c/d must be reduced", "Farey order out of range", "a must be prime to b",
+                 "strict positivity fails", "admissible window fails", "alpha lower bound fails")
+WINDOW = "(q + d) ** 2"
+
+
+def test_farey_rules_are_written_only_in_farey():
+    package = Path(fareysum.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "farey.py":
+            text = path.read_text()
+            assert not [phrase for phrase in FAREY_PHRASES if phrase in text], path.name
+    # the window inequality is computed in one function, whichever entry point asks
+    total = sum(path.read_text().count(WINDOW) for path in package.glob("*.py"))
+    assert total > 0 and inspect.getsource(farey._window_failure).count(WINDOW) == total
