@@ -229,10 +229,10 @@ def run_scan(config: ExperimentConfig, jobs: int = 1) -> ScanReport:
     order whatever the execution schedule, so reports are deterministic."""
     bs = scan_b_values(config)
     cells = [(config, c, b) for c in config.c_list for b in bs]
-    # about eight runs of cells per worker, each run one task
+    # eight runs of cells per worker, each run one task, their sizes differing by at most one
     workers = worker_count(jobs, len(cells))
-    size = max(1, len(cells) // (8 * workers))
-    runs = [cells[i:i + size] for i in range(0, len(cells), size)]
+    count = max(1, min(len(cells), 8 * workers))
+    runs = [cells[i * len(cells) // count:(i + 1) * len(cells) // count] for i in range(count)]
     records = tuple(chain.from_iterable(ordered_map(_scan_cells, runs, workers)))
     return ScanReport(config, records, _aggregate(config, records))
 

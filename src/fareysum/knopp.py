@@ -79,6 +79,7 @@ def decompose(
     """
     require_farey_point(b, c, d)
     require_range("n", n, 1, N_LIMIT)
+    require_range("a", a)
     q = a * d - b * c
     if q == 0:
         raise ValueError("degenerate base: ad = bc")

@@ -1,70 +1,112 @@
 """Tests for the process-pool driver shared by the scan and the sweep.
 
-No test here starts a process pool: `ProcessPoolExecutor` is replaced by a
-stand-in that records `max_workers` and runs every task in this process.
+The pools here are real: `forks` records the pid of every worker forked,
+fails a test that outlasts a deadline (a pipe end left open in a worker
+hangs the pool), and checks afterwards that no child of this process is
+left, killing any it finds.  `paused` holds a pooled run after its first result until its
+workers have started every item they were sent.
 """
 
-from concurrent.futures.process import BrokenProcessPool
+import os
+import signal
+import time
+from collections import Counter
 
 import pytest
 
-from fareysum import cli, counting, pool
+from fareysum import cli, counting, experiments, pool
 from fareysum.experiments import ExperimentConfig, run_scan
-from fareysum.pool import worker_count
+from fareysum.pool import ordered_map, worker_count
 
-
-class RecordingPool:
-    """Serial stand-in for ProcessPoolExecutor that records its size and the
-    largest number of submitted tasks whose result was not yet taken."""
-
-    sizes: list[int] = []
-    in_flight = peak_in_flight = 0
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        RecordingPool.in_flight += 1
-        RecordingPool.peak_in_flight = max(RecordingPool.peak_in_flight, RecordingPool.in_flight)
-        return DoneFuture(fn(*args))
-
-
-class DoneFuture:
-    """A finished task; taking its result ends its time in flight."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def result(self):
-        RecordingPool.in_flight -= 1
-        return self.value
-
-
-class DeadWorkerPool(RecordingPool):
-    """A stand-in whose workers have all died: every task's result raises."""
-
-    def submit(self, fn, *args):
-        return DeadFuture()
-
-
-class DeadFuture:
-    def result(self):
-        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+TABLE = {"n": 12, "d": 9, "b_start": 10 ** 8 + 1}
 
 
 @pytest.fixture
 def eight_cpus(monkeypatch):
-    """Eight usable CPUs, and RecordingPool in place of every process pool."""
+    """Eight usable CPUs, whatever this machine has."""
     monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(pool, "ProcessPoolExecutor", RecordingPool)
-    RecordingPool.sizes = []
-    RecordingPool.in_flight = RecordingPool.peak_in_flight = 0
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("the pooled run did not finish in 30 s")
+
+
+@pytest.fixture
+def forks(eight_cpus, monkeypatch):
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(pool.os, "fork", recorded)
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(30)
+    try:
+        yield pids
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        left = _reap(pids)
+    assert left == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _reap(pids):
+    """The pids that are still children of this process, each killed and reaped."""
+    left = []
+    for pid in pids:
+        try:
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            left.append(pid)
+        except ChildProcessError:
+            pass
+    return left
+
+
+@pytest.fixture
+def paused(monkeypatch, tmp_path):
+    """paused(module) makes `module`'s ordered_map log the pid of each item a
+    worker starts and hold after the first result until the log is settled;
+    returns a list that gets the items and the number started per pid."""
+    log = tmp_path / "started.log"
+
+    def pause(module):
+        seen = []
+
+        def held(fn, items, jobs):
+            def logged(item):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return fn(item)
+
+            results = pool.ordered_map(logged, items, jobs)
+            first = next(results)
+            seen.append(list(items))
+            seen.append(_settled(log, pool.IN_FLIGHT_PER_WORKER * 2))
+            yield first
+            yield from results
+
+        monkeypatch.setattr(module, "ordered_map", held)
+        return seen
+
+    return pause
+
+
+def _settled(log, expected):
+    """Items started per pid once `expected` have started and a while has
+    passed in which a worker running ahead would have started more."""
+    deadline = time.monotonic() + 30
+    while (not log.exists() or len(log.read_text().split()) < expected) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.2)
+    return sorted(Counter(log.read_text().split()).values())
 
 
 class TestWorkerCount:
@@ -84,54 +126,138 @@ class TestWorkerCount:
         monkeypatch.setattr(pool.os, "cpu_count", lambda: None)
         assert worker_count(10 ** 6, 100) == 1
 
+    def test_serial_without_fork(self, eight_cpus, monkeypatch):
+        monkeypatch.delattr(pool.os, "fork")
+        assert worker_count(4, 100) == 1
+        with pytest.raises(ValueError, match="^jobs must be an integer >= 1, got 0$"):
+            worker_count(0, 100)
+
 
 class TestPoolSize:
-    def test_scan_pool_is_bounded(self, eight_cpus):
-        config = ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=10 ** 8 + 1, b_count=10)
+    def test_scan_pool_is_bounded(self, forks):
+        config = ExperimentConfig(**TABLE, c_list=(1, 2), b_count=10)
         report = run_scan(config, jobs=10 ** 6)
-        assert RecordingPool.sizes == [8]
+        assert len(forks) == 8
         assert report == run_scan(config)
+        assert len(forks) == 8
 
-    def test_scan_keeps_a_bounded_window_in_flight(self, eight_cpus):
-        # 40 cells over 2 workers make 20 runs of 2: at most 4 per worker wait at once
-        config = ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=10 ** 8 + 1, b_count=20)
-        report = run_scan(config, jobs=2)
-        assert RecordingPool.sizes == [2]
-        assert RecordingPool.peak_in_flight == pool.IN_FLIGHT_PER_WORKER * 2 == 8
-        assert RecordingPool.in_flight == 0
-        assert report == run_scan(config)
+    def test_scan_keeps_a_bounded_window_in_flight(self, forks, paused):
+        # 40 cells over 2 workers make 16 runs of 2 or 3 cells: each worker starts
+        # 4 runs, and no more until the first result is passed on
+        config = ExperimentConfig(**TABLE, c_list=(1, 2), b_count=20)
+        serial = run_scan(config)
+        seen = paused(experiments)
+        assert run_scan(config, jobs=2) == serial
+        runs, started = seen
+        assert len(forks) == 2
+        assert sorted(map(len, runs)) == [2] * 8 + [3] * 8
+        assert started == [pool.IN_FLIGHT_PER_WORKER] * 2 == [4, 4]
 
-    def test_scan_of_one_cell_starts_no_pool(self, eight_cpus):
-        config = ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10 ** 8 + 1, b_count=1)
-        run_scan(config, jobs=4)
-        assert RecordingPool.sizes == []
+    def test_scan_of_one_cell_starts_no_pool(self, forks):
+        config = ExperimentConfig(**TABLE, c_list=(1,), b_count=1)
+        assert run_scan(config, jobs=4) == run_scan(config)
+        assert forks == []
 
-    def test_sweep_pool_is_bounded_by_tasks(self, eight_cpus):
+    def test_sweep_pool_is_bounded_by_tasks(self, forks):
         report = counting.verify_theorem2(5, 4, jobs=10 ** 6)
-        assert RecordingPool.sizes == [5]
+        assert len(forks) == 5
         assert report == counting.verify_theorem2(5, 4)
 
-    def test_sweep_rows_pool_is_bounded(self, eight_cpus, tmp_path):
+    def test_sweep_rows_pool_is_bounded(self, forks, tmp_path):
         # the pooled sweep writes, row for row, what the serial sweep_rows yields
         pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
         report = counting.verify_theorem2(20, 4, jobs=10 ** 6, csv_path=str(pooled))
-        assert RecordingPool.sizes == [8]
+        assert len(forks) == 8
         assert report == counting.verify_theorem2(20, 4)
         rows = list(counting.sweep_rows(20, 4))
-        assert RecordingPool.sizes == [8]
+        assert len(forks) == 8
         assert all(isinstance(row, counting.SweepRow) for row in rows)
         assert counting.write_sweep_csv(str(serial), rows) == report.rows_checked
         assert pooled.read_bytes() == serial.read_bytes()
 
     @pytest.mark.parametrize("csv", [False, True])
-    def test_sweep_keeps_a_bounded_window_of_n_in_flight(self, eight_cpus, csv, tmp_path):
-        # 40 values of n over 2 workers: at most 4 per worker wait at once
+    def test_sweep_keeps_a_bounded_window_of_n_in_flight(self, forks, paused, csv, tmp_path):
+        # 40 values of n over 2 workers: each worker starts 4, and no more until
+        # the first result is passed on
         path = str(tmp_path / "sweep.csv") if csv else None
-        report = counting.verify_theorem2(40, 3, jobs=2, csv_path=path)
-        assert RecordingPool.sizes == [2]
-        assert RecordingPool.peak_in_flight == pool.IN_FLIGHT_PER_WORKER * 2 == 8
-        assert RecordingPool.in_flight == 0
-        assert report == counting.verify_theorem2(40, 3)
+        serial = counting.verify_theorem2(40, 3)
+        seen = paused(counting)
+        assert counting.verify_theorem2(40, 3, jobs=2, csv_path=path) == serial
+        assert len(forks) == 2
+        assert seen == [list(range(1, 41)), [pool.IN_FLIGHT_PER_WORKER] * 2]
+
+
+def _square(x):
+    return [x * x]
+
+
+def _first_only(x):
+    """Fast for item 0; any other item outlasts the test's deadline."""
+    if x:
+        time.sleep(60)
+    return [x]
+
+
+def _pid_of(x):
+    """The worker's pid, after 0.1 s on an even item."""
+    if x % 2 == 0:
+        time.sleep(0.1)
+    return [os.getpid()]
+
+
+def _broken(fn, is_bad, how):
+    """fn, except that an item `is_bad` accepts makes the worker raise
+    ValueError, or kill itself with SIGKILL; never in this process."""
+    parent = os.getpid()
+
+    def broken(item, *args, **kwargs):
+        if is_bad(item):
+            assert os.getpid() != parent, "a broken item ran in the test process"
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError(f"item {item!r} is bad")
+        return fn(item, *args, **kwargs)
+
+    return broken
+
+
+class TestNoWorkerOutlivesTheCall:
+    """Three workers, so that a pipe end one worker kept of another's hangs the test."""
+
+    def test_a_pooled_run(self, forks):
+        assert list(ordered_map(_square, range(50), 3)) == [[x * x] for x in range(50)]
+        assert len(forks) == 3
+
+    def test_an_exception_keeps_its_type(self, forks):
+        with pytest.raises(ValueError, match="^item 17 is bad$"):
+            list(ordered_map(_broken(_square, (17).__eq__, "raise"), range(50), 3))
+        assert len(forks) == 3
+
+    def test_an_unpicklable_exception_crosses_as_its_repr(self, forks):
+        def fn(x):
+            raise ValueError(lambda: x)
+
+        with pytest.raises(RuntimeError, match=r"^ValueError\(<function "):
+            list(ordered_map(fn, range(50), 3))
+
+    def test_a_killed_worker(self, forks):
+        with pytest.raises(ChildProcessError, match="^a worker process died: killed by signal 9$"):
+            list(ordered_map(_broken(_square, (17).__eq__, "kill"), range(50), 3))
+        assert len(forks) == 3
+
+    def test_a_run_closed_after_its_first_result(self, forks):
+        # the workers busy on later items are killed, not waited for
+        results = ordered_map(_first_only, range(50), 3)
+        assert next(results) == [0]
+        results.close()
+        assert len(forks) == 3
+
+
+def test_items_go_to_the_least_busy_worker(forks):
+    # i % 2 would give one worker every slow item; the worker done with its
+    # fast ones takes the next items instead
+    pids = [pid for [pid] in ordered_map(_pid_of, range(12), 2)]
+    assert len(set(pids[0::2])) == 2
 
 
 def test_jobs_below_one_is_refused_before_any_work(tmp_path):
@@ -142,19 +268,35 @@ def test_jobs_below_one_is_refused_before_any_work(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["scan", "--n", "12", "--d", "9", "--c", "1,2", "--b-start", "100000001", "--b-count", "10",
-     "--jobs", "2", "--csv"],
-    ["verify-counting", "--max-n", "10", "--max-d", "3", "--jobs", "2", "--csv"],
-], ids=["scan", "verify-counting"])
-def test_dead_worker_is_an_error_not_a_traceback(eight_cpus, monkeypatch, capsys, tmp_path, argv):
-    monkeypatch.setattr(pool, "ProcessPoolExecutor", DeadWorkerPool)
+CLI_FORMS = {
+    "scan": (["scan", "--n", "12", "--d", "9", "--c", "1,2", "--b-start", "100000001",
+              "--b-count", "10", "--jobs", "3", "--csv"],
+             experiments, "_scan_cells", lambda cells: (2, 100000004) in [cell[1:] for cell in cells]),
+    "verify-counting": (["verify-counting", "--max-n", "10", "--max-d", "3", "--jobs", "3", "--csv"],
+                        counting, "_n_rows", (7).__eq__),
+}
+
+
+def _fails_in_a_worker(monkeypatch, capsys, tmp_path, forks, form, how):
+    """Run a CLI form whose one bad item breaks its worker; the error lines."""
+    argv, module, name, is_bad = CLI_FORMS[form]
+    monkeypatch.setattr(module, name, _broken(getattr(module, name), is_bad, how))
     code = cli.main(argv + [str(tmp_path / "report.csv")])
     out, err = capsys.readouterr()
     assert code == 1
-    assert RecordingPool.sizes == [2]
+    assert len(forks) == 3
     assert out == ""
-    assert err.splitlines() == [
-        "fareysum: error: a worker process died: "
-        "A process in the process pool was terminated abruptly"]
     assert list(tmp_path.iterdir()) == []
+    return err.splitlines()
+
+
+@pytest.mark.parametrize("form", sorted(CLI_FORMS))
+def test_dead_worker_is_an_error_not_a_traceback(monkeypatch, capsys, tmp_path, forks, form):
+    assert _fails_in_a_worker(monkeypatch, capsys, tmp_path, forks, form, "kill") == [
+        "fareysum: error: a worker process died: killed by signal 9"]
+
+
+@pytest.mark.parametrize("form", sorted(CLI_FORMS))
+def test_worker_exception_is_an_error_not_a_traceback(monkeypatch, capsys, tmp_path, forks, form):
+    [line] = _fails_in_a_worker(monkeypatch, capsys, tmp_path, forks, form, "raise")
+    assert line.startswith("fareysum: error: item ") and line.endswith(" is bad")

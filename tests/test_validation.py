@@ -10,6 +10,7 @@ fields however they are built: by call, `_make`, `_replace` or a pickle
 round trip.
 """
 
+import ast
 import inspect
 import pickle
 import re
@@ -115,7 +116,8 @@ RANGE_CASES = {
     "decompose": [(lambda: decompose(1, 3, 0, 0, 2), "d must be an integer >= 1, got 0"),
                   (lambda: decompose(1, 3, 0, 1, 10 ** 4 + 1), "n must be an integer in [1, 10000], got 10001"),
                   (lambda: decompose(1, 3, 0, 1, 2.0), "n must be an integer in [1, 10000], got 2.0"),
-                  (lambda: decompose(2.0, 7, 0, 1, 2), "a must be an integer, got 2.0")],
+                  (lambda: decompose(2.0, 7, 0, 1, 2), "a must be an integer, got 2.0"),
+                  (lambda: decompose(0.0, 7, 0, 1, 2), "a must be an integer, got 0.0")],
     "is_farey_neighbour": [(lambda: is_farey_neighbour(1000, 1, 0, 112), "d must be an integer >= 1, got 0"),
                            (lambda: is_farey_neighbour(1000.0, 1, 9, 112), "b must be an integer >= 1, got 1000.0"),
                            (lambda: is_farey_neighbour(1000, 1.0, 9, 112), "c must be an integer, got 1.0")],
@@ -176,6 +178,18 @@ def test_range_rule_is_worded_only_in_numtheory():
         if path.name != "numtheory.py":
             text = path.read_text()
             assert not [phrase for phrase in RANGE_PHRASES if phrase in text], path.name
+
+
+def test_no_float_arithmetic_in_the_package():
+    # exactness: no true division, float literal, float() or sqrt anywhere in src/
+    package = Path(fareysum.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+                 or isinstance(node, ast.Constant) and type(node.value) is float
+                 or isinstance(node, ast.Name) and node.id in ("float", "sqrt")
+                 or isinstance(node, ast.Attribute) and node.attr == "sqrt"]
+        assert found == [], path.name
 
 
 FAREY_PHRASES = ("c/d must be reduced", "Farey order out of range", "a must be prime to b",
