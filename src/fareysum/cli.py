@@ -31,11 +31,12 @@ EXIT_VERIFY = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad arguments; remap to 1."""
+    """argparse exits with status 2 on bad arguments, and a subparser names
+    itself ("fareysum scan: error:"); remap to 1 and one error prefix."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"fareysum: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -98,8 +99,8 @@ def _check_report_path(path: str) -> None:
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ValueError(f"cannot write {path}: no such directory {directory}")
-    if os.path.isdir(path):
-        raise ValueError(f"cannot write {path}: it is a directory")
+    if os.path.exists(path) and not os.path.isfile(path):  # a directory, FIFO, device or socket
+        raise ValueError(f"cannot write {path}: it is not a regular file")
 
 
 def _reserve_temp(path: str) -> str:

@@ -84,7 +84,8 @@ class ExperimentConfig(_ExperimentFields):
         c_list = tuple(c_list)
         require_range("n", n, 1, N_LIMIT)
         require_range("d", d, 1)
-        require_range("b_start", b_start, 1)
+        # a random b is one 64-bit word mod 9 b_start, so the span must fit in one word
+        require_range("b_start", b_start, 1, (1 << 64) // 9 if b_mode == B_MODE_RANDOM else None)
         require_range("b_count", b_count, 0)
         if b_mode not in (B_MODE_CONSECUTIVE, B_MODE_RANDOM):
             raise ValueError(f"unknown b_mode: {b_mode!r}")
@@ -171,22 +172,20 @@ def select_neighbour(b: int, c: int, d: int, n: int) -> tuple[int | None, str]:
 
 
 def mean_deviations(dec: Decomposition) -> tuple[Fraction, Fraction]:
-    """(M1, M2): mean deviation over all sigma(n) terms / over the n terms with m = 1.
-
-    Each mean is one `Fraction`, summed from the terms' exact integer pairs
-    over the lcm of their denominators.
-    """
+    """(M1, M2): mean deviation over all sigma(n) terms / over the n terms with m = 1,
+    both summed in one pass from the terms' exact integer pairs."""
     devs = _deviation_pairs(dec)
-    ones = [dev for dev in devs if dev[2] == 1]
-    if len(ones) != dec.n:
-        raise ValueError(
-            f"{len(ones)} terms have m = 1, expected exactly n = {dec.n}"
-        )
-    means = []
-    for group, size in ((devs, sigma(dec.n)), (ones, dec.n)):
-        den = lcm(*(y for _, _, _, _, y in group))
-        means.append(Fraction(sum(x * (den // y) for _, _, _, x, y in group), den * size))
-    return means[0], means[1]
+    den = lcm(*(y for _, _, _, _, y in devs))  # a common denominator, the m = 1 terms' too
+    total = ones = count = 0
+    for _, _, m, x, y in devs:
+        part = x * (den // y)
+        total += part
+        if m == 1:
+            ones += part
+            count += 1
+    if count != dec.n:
+        raise ValueError(f"{count} terms have m = 1, expected exactly n = {dec.n}")
+    return Fraction(total, den * sigma(dec.n)), Fraction(ones, den * dec.n)
 
 
 def scan_b_values(config: ExperimentConfig) -> list[int]:

@@ -106,7 +106,7 @@ def decompose(
 
 def identity_discrepancy(dec: Decomposition) -> Fraction:
     """sum of S[r, j] minus sigma(n) S(a, b); zero exactly when the identity holds."""
-    total = sum((t.sum_value for t in dec.terms), Fraction(0))
+    total = sum((Fraction(num, b1) for _, _, _, _, _, b1, _, _, num in dec.rows), Fraction(0))
     return total - sigma(dec.n) * dec.base_sum
 
 

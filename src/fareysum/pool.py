@@ -39,9 +39,10 @@ def ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator[Iterable]:
     processes, with at most IN_FLIGHT_PER_WORKER items per worker sent out
     and not yet passed on, and each result crosses back as a list.  `jobs`
     is checked at the call, before any item runs.  An exception raised by
-    fn in a worker is raised here with its own type; a worker that died
-    raises `ChildProcessError`, an `OSError`.  No worker outlives the
-    iteration, however it ends."""
+    fn in a worker is raised here with its own type, from a cause that holds
+    its traceback in the worker; a worker that died raises
+    `ChildProcessError`, an `OSError`.  No worker outlives the iteration,
+    however it ends."""
     workers = worker_count(jobs, len(items))
     return map(fn, items) if workers == 1 else _pooled(fn, items, workers)
 
@@ -115,7 +116,8 @@ def _pooled(fn: Callable, items: Sequence, workers: int) -> Iterator[list]:
                     raise ChildProcessError(f"a worker process died: {how}")
                 ok, value = pickle.loads(frame)
                 if not ok:
-                    raise value
+                    exc, trace = value
+                    raise exc from _RemoteTraceback(trace)
                 ready[queues[w].popleft()] = value
                 if not queues[w]:
                     arrivals.unregister(fd)
@@ -127,6 +129,10 @@ def _pooled(fn: Callable, items: Sequence, workers: int) -> Iterator[list]:
             if not finished:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+class _RemoteTraceback(Exception):
+    """The cause of an exception raised in a worker: its traceback there, as text."""
 
 
 def _read(fd: int, size: int) -> bytes | None:
@@ -144,11 +150,11 @@ def _read(fd: int, size: int) -> bytes | None:
 def _serve(fn: Callable, items: Sequence, task_fd: int, result_fd: int, inherited: list[int]) -> None:
     """A worker's life: for each index read from `task_fd`, write
     (True, list(fn(items[index]))) to `result_fd`, pickled after its length,
-    and exit 0 at EOF; on any exception, write (False, exc) and exit 1.  It
-    first closes the parent's pipe ends it inherited: an index pipe's write
-    end held here would keep its worker, this one or a sibling, from ever
-    reaching EOF.  Only `os._exit` ends it, so it never flushes the
-    parent's buffers (stdout among them) nor runs its exit hooks."""
+    and exit 0 at EOF; on any exception, write (False, (exc, its traceback
+    text)) and exit 1.  It first closes the parent's pipe ends it inherited:
+    an index pipe's write end held here would keep its worker, this one or a
+    sibling, from ever reaching EOF.  Only `os._exit` ends it, so it never
+    flushes the parent's buffers (stdout among them) nor runs its exit hooks."""
     import pickle
 
     code = 1
@@ -167,9 +173,12 @@ def _serve(fn: Callable, items: Sequence, task_fd: int, result_fd: int, inherite
                     write((True, list(fn(items[int(line)]))))
                 code = 0
             except BaseException as exc:  # sent to the parent; the worker exits below
+                import traceback
+
+                trace = traceback.format_exc()
                 try:
-                    write((False, exc))
+                    write((False, (exc, trace)))
                 except Exception:
-                    write((False, RuntimeError(repr(exc))))
+                    write((False, (RuntimeError(repr(exc)), trace)))
     finally:
         os._exit(code)

@@ -1,9 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import io
 import json
+import os
+import stat
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fareysum import cli
 
@@ -12,6 +19,22 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse(work):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{work} must not start")
+
+    return refused
+
+
+def error_line(err):
+    """The one `fareysum: error:` line that ends a failure's stderr; only
+    usage lines may come before it."""
+    *usage, last = err.splitlines()
+    assert last.startswith("fareysum: error: ")
+    assert all(line.startswith(("usage: ", " ")) for line in usage), err
+    return last
 
 
 class TestSum:
@@ -169,6 +192,17 @@ class TestVerifyCounting:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_fifo_csv_is_refused_before_sweeping(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.counting, "verify_theorem2", refuse("the sweep"))
+        fifo = tmp_path / "rows.csv"
+        os.mkfifo(fifo)
+        code, out, err = run(capsys, "verify-counting", "--max-n", "5", "--max-d", "5",
+                             "--csv", str(fifo))
+        assert (code, out) == (1, "")
+        assert err == f"fareysum: error: cannot write {fifo}: it is not a regular file\n"
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
     def test_violations_exit_two(self, capsys, monkeypatch):
         from fareysum.counting import SweepReport, SweepRow
 
@@ -249,6 +283,21 @@ class TestScan:
         assert err == "fareysum: error: cannot write a report to an empty path\n"
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_fifo_report_is_refused_before_scanning(self, capsys, tmp_path, monkeypatch, flag):
+        # os.replace would turn the FIFO (or a device node) into a regular file
+        monkeypatch.setattr(cli.experiments, "run_scan", refuse("the scan"))
+        fifo = tmp_path / "report"
+        os.mkfifo(fifo)
+        code, out, err = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1",
+            "--b-start", "100000001", "--b-count", "2", flag, str(fifo),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"fareysum: error: cannot write {fifo}: it is not a regular file\n"
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
 
     def test_unwritable_report_is_exit_one(self, capsys, tmp_path):
         code, _, err = run(
@@ -343,6 +392,13 @@ class TestScan:
         assert int(record[0]) < 729
         assert record[3] == "premises_failed"
 
+    @pytest.mark.parametrize("argv", [["scan", "--c", "1,"], ["sum", "1"], ["verify-counting", "--max-n", "2.0"]])
+    def test_a_subcommand_error_has_the_one_prefix(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 1
+        error_line(capsys.readouterr().err)  # argparse would say "fareysum scan: error: ..."
+
     def test_bad_c_list(self, capsys):
         code, _, err = run(
             capsys, "scan", "--n", "12", "--d", "9", "--c", "3",
@@ -360,3 +416,80 @@ class TestExample:
         assert "25578.0932685" in out
         assert "max deviation ~ 0.0465929 at (r=6, j=1)" in out
         assert "mean deviation ~ 0.00600072" in out
+
+
+# The CLI contract, drawn: every argv ends in exit 0, 1 or 2, never a
+# traceback, and a failure in one `fareysum: error:` line and no report.
+# A report path "@name" names a file in the test's own directory, which holds
+# a directory and a FIFO.  Sizes stay small enough for milliseconds a run.
+SMALL_BAD = st.sampled_from(["0", "-1", "2.0", "1e3", "x", ""])
+BAD = SMALL_BAD | st.sampled_from([str(2 ** 64), str(10 ** 30), str(-(10 ** 30))])
+PATHS = st.sampled_from(["@fifo", "@out.csv", "@./out.csv", "@dir", "@missing/out.csv", ""])
+FLAG = st.booleans()  # a bare flag, given or not
+
+
+def some(*values):
+    return st.sampled_from([str(v) for v in values])
+
+
+@st.composite
+def command(draw, name, *fields):
+    """`name` and its (flag, good values[, bad values]) fields in turn, flag
+    None for a positional; at most one field is left out or given a bad
+    value, and a good value of None or False leaves an optional field out.
+    A path's bad values are paths in the test's directory too."""
+    broken = draw(st.none() | st.integers(0, len(fields) - 1))
+    argv = [name]
+    for i, (flag, good, *bad) in enumerate(fields):
+        value = draw(st.none() | (bad[0] if bad else BAD)) if i == broken else draw(good)
+        if value in (None, False):
+            continue
+        argv += [value] if flag is None else [flag] if value is True else [flag, value]
+    return argv
+
+
+ARGVS = st.one_of(
+    command("sum", (None, some(3504214, -5, 1)), (None, some(31537789, 6))),
+    command("decompose", (None, some(3504214, 2, -3)), (None, some(31537789, 7)), (None, some(1, 0)),
+            (None, some(9, 1)), (None, some(12, 6, 1)), ("--require-theorem1", FLAG), ("--json", FLAG)),
+    command("verify-counting", ("--max-n", st.integers(1, 6).map(str)),
+            ("--max-d", st.integers(1, 4).map(str), SMALL_BAD),
+            ("--csv", PATHS, st.none() | PATHS), ("--jobs", st.none() | some(1))),
+    command("scan", ("--n", some(12, 6, 1)), ("--d", some(9, 7)),
+            ("--c", some(1, "1,2", "4,2,1"), some("1,1", "1,", "", 0, 9, "2.0")),
+            ("--b-start", some(100000001, 1000, 10 ** 30)),
+            ("--b-count", st.integers(0, 5).map(str), SMALL_BAD), ("--random", FLAG),
+            ("--seed", st.none() | some(0, 7, 2 ** 64 - 1)),
+            ("--csv", st.none() | PATHS, PATHS), ("--json", st.none() | PATHS, PATHS),
+            ("--jobs", st.none() | some(1))),
+    command("example", (None, st.none())),
+)
+SCAN = ["scan", "--n", "12", "--d", "9", "--c", "1", "--b-start", "100000001", "--b-count", "2"]
+
+
+@settings(derandomize=True, deadline=None)
+@given(ARGVS)
+@example(SCAN + ["--csv", "@fifo"])
+@example(SCAN + ["--json", "@fifo", "--csv", "@out.csv"])
+@example(["verify-counting", "--max-n", "3", "--max-d", "2", "--csv", "@fifo"])
+@example(["scan", "--c", "1,"])
+def test_cli_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "dir"))
+        fifo = os.path.join(tmp, "fifo")
+        os.mkfifo(fifo)
+        argv = [os.path.join(tmp, tok[1:]) if tok.startswith("@") else tok for tok in argv]
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 1:
+            error_line(err)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(os.path.join(tmp, "dir")) == []
+        left = set(os.listdir(tmp)) - {"dir", "fifo"}
+        assert not (code and left), (argv, left)
+        assert not any(name.endswith(".tmp") for name in left)

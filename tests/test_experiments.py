@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import prime_to, window_max_q
-from fareysum import experiments
+from fareysum import cli, experiments, knopp
 from fareysum.experiments import (
     B_MODE_RANDOM,
     RULED_OUT_GCD,
@@ -308,6 +308,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="d must be an integer >= 1, got 0"):
             ExperimentConfig(n=12, d=0, c_list=(0,), b_start=5, b_count=3)
 
+    def test_rejects_a_random_span_past_one_word(self):
+        # past 2^64 // 9 no 64-bit word lies below the rejection limit, so no draw would end
+        top = (1 << 64) // 9
+        with pytest.raises(ValueError, match=re.escape(f"b_start must be an integer in [1, {top}], got {top + 1}")):
+            ExperimentConfig(n=1, d=1, c_list=(0,), b_start=top + 1, b_count=1, b_mode=B_MODE_RANDOM)
+        [b] = scan_b_values(ExperimentConfig(n=1, d=1, c_list=(0,), b_start=top, b_count=1, b_mode=B_MODE_RANDOM))
+        assert top <= b < 10 * top
+        assert ExperimentConfig(n=1, d=1, c_list=(0,), b_start=top + 1, b_count=1).b_start == top + 1
+
     def test_rejects_repeated_c(self):
         # a repeated c would be scanned twice and reported in two #agg rows
         with pytest.raises(ValueError, match=re.escape("c = 1 is repeated in c_list")):
@@ -484,3 +493,18 @@ class TestRunExample:
         # acceptance suite pins a different target, see there
         report = run_example()
         assert abs(float(report.sum_value) - 25573.432) < 0.001
+
+
+def test_computation_reads_rows_not_terms(monkeypatch, capsys):
+    # only reports render KnoppTerms: a scan, the example and the identity
+    # check all read a decomposition's integer rows
+    def refuse(dec):
+        raise AssertionError("terms rendered outside a report")
+
+    monkeypatch.setattr(knopp.Decomposition, "terms", property(refuse))
+    config = ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=10 ** 8 + 1, b_count=5)
+    assert any(rec.m1 is not None for rec in run_scan(config).records)
+    assert run_example().max_at == (6, 1)
+    assert knopp.verify_identity(decompose(3504214, 31537789, 1, 9, 12))
+    assert cli.main(["example"]) == 0
+    assert "mean deviation ~ 0.00600072" in capsys.readouterr().out

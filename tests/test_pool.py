@@ -253,6 +253,17 @@ class TestNoWorkerOutlivesTheCall:
         assert len(forks) == 3
 
 
+def test_a_worker_exception_keeps_its_traceback(forks):
+    def f(x):
+        return [1 / (x - 3)]
+
+    with pytest.raises(ZeroDivisionError) as caught:
+        list(ordered_map(f, range(8), 2))
+    trace = str(caught.value.__cause__)
+    assert trace.startswith("Traceback (most recent call last):")
+    assert ", in f\n    return [1 / (x - 3)]\n" in trace
+
+
 def test_items_go_to_the_least_busy_worker(forks):
     # i % 2 would give one worker every slow item; the worker done with its
     # fast ones takes the next items instead
