@@ -153,7 +153,7 @@ def _sweep_blocks(max_n: int, max_d: int, jobs: int) -> Iterator[list[tuple]]:
     """Every row block of the sweep, ordered by (n, d).  The bounds are
     checked here, before any work starts."""
     require_range("max_n", max_n, 1, BRUTE_LIMIT)
-    require_range("max_d", max_d, 1)
+    require_range("max_d", max_d, 1, BRUTE_LIMIT)
     return chain.from_iterable(
         ordered_map(partial(_n_rows, max_d=max_d), range(1, max_n + 1), jobs))
 

@@ -56,7 +56,8 @@ def dedekind_fast(a: int, b: int) -> Fraction:
     if a == 0:
         return Fraction(0)
     g = gcd(a, b)
-    a, b = a // g, b // g
+    if g != 1:
+        a, b = a // g, b // g
     alternating = 0
     x, y = b, a
     ux, uy = 0, 1  # x = -ux a and y = uy a (mod b)

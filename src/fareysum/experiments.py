@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -41,6 +42,10 @@ THRESHOLDS = {"t1_hi": Fraction(5, 100), "t1_lo": Fraction(1, 100),
 
 _MASK64 = (1 << 64) - 1
 
+# A scan holds every record until its reports are written, about 550 bytes
+# a cell at 1e8 (tracemalloc), so a scan at the limit holds ~0.55 GB per c.
+B_COUNT_LIMIT = 10 ** 6
+
 
 def splitmix64(seed: int) -> Iterator[int]:
     """The splitmix64 stream of 64-bit words from `seed`, for reproducible b draws."""
@@ -52,10 +57,15 @@ def splitmix64(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
+@lru_cache(maxsize=8)
+def _context(prec: int) -> Context:
+    return Context(prec=prec, rounding=ROUND_HALF_EVEN)
+
+
 def format_decimal(value: Fraction, sig_digits: int = 12) -> str:
     """Decimal rendering of an exact rational, round-half-even."""
-    require_range("sig_digits", sig_digits, 1)
-    return str(Context(prec=sig_digits, rounding=ROUND_HALF_EVEN).divide(value.numerator, value.denominator))
+    require_range("sig_digits", sig_digits, 1)  # first: 12.0 would find the context of 12
+    return str(_context(sig_digits).divide(value.numerator, value.denominator))
 
 
 def format_fixed(value: Fraction, places: int) -> str:
@@ -86,7 +96,7 @@ class ExperimentConfig(_ExperimentFields):
         require_range("d", d, 1)
         # a random b is one 64-bit word mod 9 b_start, so the span must fit in one word
         require_range("b_start", b_start, 1, (1 << 64) // 9 if b_mode == B_MODE_RANDOM else None)
-        require_range("b_count", b_count, 0)
+        require_range("b_count", b_count, 0, B_COUNT_LIMIT)
         if b_mode not in (B_MODE_CONSECUTIVE, B_MODE_RANDOM):
             raise ValueError(f"unknown b_mode: {b_mode!r}")
         require_range("rng_seed", rng_seed, 0, _MASK64)
@@ -174,11 +184,16 @@ def select_neighbour(b: int, c: int, d: int, n: int) -> tuple[int | None, str]:
 def mean_deviations(dec: Decomposition) -> tuple[Fraction, Fraction]:
     """(M1, M2): mean deviation over all sigma(n) terms / over the n terms with m = 1,
     both summed in one pass from the terms' exact integer pairs."""
-    devs = _deviation_pairs(dec)
-    den = lcm(*(y for _, _, _, _, y in devs))  # a common denominator, the m = 1 terms' too
+    # every y = b' m^2 b of a decomposition divides n (n d)^2 b^2, as b' | n b and m | n d
+    den = dec.n * (dec.n * dec.d * dec.b) ** 2
     total = ones = count = 0
-    for _, _, m, x, y in devs:
-        part = x * (den // y)
+    for _, _, m, x, y in _deviation_pairs(dec):
+        scale, rest = divmod(den, y)
+        if rest:  # a row decompose never builds: widen den to lcm(den, y)
+            widen = y // gcd(rest, y)
+            den, total, ones = den * widen, total * widen, ones * widen
+            scale = den // y
+        part = x * scale
         total += part
         if m == 1:
             ones += part
@@ -265,14 +280,16 @@ def write_scan_csv(report: ScanReport, path: str) -> None:
         fh.write("\n".join(scan_csv_lines(report)) + "\n")
 
 
-def scan_report_to_dict(report: ScanReport) -> dict:
-    """JSON-ready view: the config, each record and each aggregate carry their
-    own fields, m1/m2 rendered to 12 significant digits; the config adds the
-    thresholds and the generator, each aggregate its `pct_*` shares."""
+def _rendered(rec: ScanRecord) -> dict:
+    """A record's fields, m1/m2 rendered to 12 significant digits, in field order."""
+    return rec._asdict() | dict(zip(("m1", "m2"), _decimals(rec)))
+
+
+def _report_head(report: ScanReport) -> dict:
+    """The JSON view's config and aggregates: everything but the records."""
     thresholds = {k: format_decimal(t) for k, t in THRESHOLDS.items()}
     return {
         "config": report.config._asdict() | {"thresholds": thresholds, "generator": GENERATOR_ID},
-        "records": [rec._asdict() | dict(zip(("m1", "m2"), _decimals(rec))) for rec in report.records],
         "aggregates": [
             agg._asdict() | {"pct_" + name: s for name, s in zip(_SHARES, agg.shares())}
             for agg in report.aggregates
@@ -280,15 +297,37 @@ def scan_report_to_dict(report: ScanReport) -> dict:
     }
 
 
+def scan_report_to_dict(report: ScanReport) -> dict:
+    """JSON-ready view: the config, each record and each aggregate carry their
+    own fields, m1/m2 rendered to 12 significant digits; the config adds the
+    thresholds and the generator, each aggregate its `pct_*` shares."""
+    return _report_head(report) | {"records": [_rendered(rec) for rec in report.records]}
+
+
 def write_scan_json(report: ScanReport, path: str) -> None:
+    """The bytes of `json.dumps(scan_report_to_dict(report), indent=2, sort_keys=True)`
+    and a newline.  Only the head goes through `json`, whose indenting encoder
+    is pure Python; each record is one fill of a template in sorted key order."""
     import json  # here, not at the top: only a JSON report needs it
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(scan_report_to_dict(report))
+    from json.encoder import encode_basestring_ascii as quote
+
+    def value(v) -> str:
+        return "null" if v is None else quote(v) if type(v) is str else repr(v)
+
+    # "records" sorts after "aggregates" and "config", so it closes the object
+    head = json.dumps(_report_head(report), indent=2, sort_keys=True)
+    fields = ScanRecord._fields
+    template = "    {{\n" + ",\n".join(
+        f"      {quote(key)}: {{{fields.index(key)}}}" for key in sorted(fields)) + "\n    }}"
+    records = (template.format(*map(value, _rendered(rec).values())) for rec in report.records)
     with open(path, "w") as fh:
-        # json.dumps would list every chunk before joining them, and one
-        # write per chunk costs a quarter more time; no chunk is empty
-        while batch := "".join(islice(chunks, 1024)):
-            fh.write(batch)
-        fh.write("\n")
+        fh.write(head[:-2] + ',\n  "records": [')
+        separator = "\n"
+        # in batches, so that the writer never holds the whole text; no record's text is empty
+        while batch := ",\n".join(islice(records, 1024)):
+            fh.write(separator + batch)
+            separator = ",\n"
+        fh.write("\n  ]\n}\n" if report.records else "]\n}\n")
 
 
 EXAMPLE_B = 31537789

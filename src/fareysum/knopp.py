@@ -15,6 +15,7 @@ Farey neighbour and every term is positive.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -88,20 +89,31 @@ def decompose(
         if failure is not None:
             raise PremiseError(failure)
     base_sum = 12 * dedekind_fast(a, b)
+    farey_terms = iter(_farey_terms(c, d, n))
     rows = []
     for r in divisors(n):
-        rb, rd = r * b, r * d
-        num_a, num_c = (n // r) * a, (n // r) * c  # (n/r) a + j b and (n/r) c + j d at j = 0
-        for j in range(r):
+        rb, num_a = r * b, (n // r) * a  # (n/r) a + j b at j = 0
+        for j, (m, c1, d1) in zip(range(r), farey_terms):  # range first: zip takes r triples
             k = gcd(num_a, rb)
-            m = gcd(num_c, rd)
-            b1 = rb // k
-            s = dedekind_fast(num_a, rb)  # 12 s = N / b', its denominator divides 12 b'
-            rows.append((r, j, k, m, num_a // k, b1, num_c // m, rd // m,
-                         12 * b1 // s.denominator * s.numerator))
+            a1, b1 = num_a // k, rb // k
+            s = dedekind_fast(a1, b1)  # = s(num_a, rb); 12 s = N / b', its denominator divides 12 b'
+            rows.append((r, j, k, m, a1, b1, c1, d1, 12 * b1 // s.denominator * s.numerator))
             num_a += b
-            num_c += d
     return Decomposition(n, a, b, c, d, q, base_sum, tuple(rows))
+
+
+@lru_cache(maxsize=8)  # a scan visits its c values one after another
+def _farey_terms(c: int, d: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """(m, c', d') per (r, j), in (r, j) order: the part of each term that
+    depends on (c, d, n) alone, so one table serves every b of a scan."""
+    terms = []
+    for r in divisors(n):
+        rd, num_c = r * d, (n // r) * c  # (n/r) c + j d at j = 0
+        for _ in range(r):
+            m = gcd(num_c, rd)
+            terms.append((m, num_c // m, rd // m))
+            num_c += d
+    return tuple(terms)
 
 
 def identity_discrepancy(dec: Decomposition) -> Fraction:

@@ -143,6 +143,10 @@ class TestLemma3:
                         assert verify_lemma3(n1, n2, m, 1 % d, d)
 
 
+def refuse_histograms(*args):
+    raise AssertionError("no histogram may be built past the cap")
+
+
 class TestTheorem2Sweep:
     def test_small_sweep_clean(self):
         report = verify_theorem2(40, 12)
@@ -189,15 +193,20 @@ class TestTheorem2Sweep:
             verify_theorem2(0, 10)
 
     def test_brute_cap_is_checked_before_any_work(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("no histogram may be built past the cap")
-
-        monkeypatch.setattr(counting, "multiplicity_histogram", refuse)
+        monkeypatch.setattr(counting, "multiplicity_histogram", refuse_histograms)
         for sweep in (verify_theorem2, sweep_rows):
             with pytest.raises(ValueError, match=r"max_n must be an integer in \[1, 10000\], got 10001"):
                 sweep(10 ** 4 + 1, 1)
         with pytest.raises(ValueError, match=r"n must be an integer in \[1, 10000\], got 10001"):
             count_A_brute(CountingQuery(10 ** 4 + 1, 1, 0, 1))
+
+    def test_max_d_cap_is_checked_before_any_work(self, monkeypatch):
+        # the brute cap bounds max_d too, so a huge max_d is refused, not walked
+        monkeypatch.setattr(counting, "multiplicity_histogram", refuse_histograms)
+        for sweep in (verify_theorem2, sweep_rows):
+            for max_d in (10 ** 4 + 1, 10 ** 30):
+                with pytest.raises(ValueError, match=rf"^max_d must be an integer in \[1, 10000\], got {max_d}$"):
+                    sweep(1, max_d)
 
 
 class TestSweepViolations:

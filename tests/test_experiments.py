@@ -270,6 +270,20 @@ class TestMeanDeviations:
             assert mean_deviations(dec) == expected
             assert min(expected) >= 0
 
+    def test_rows_outside_the_common_denominator_match_the_fraction_oracle(self):
+        # b' values that divide no n b widen the sum's denominator; every
+        # deviation stays nonzero, so a wrongly scaled part would show
+        dec = decompose(3504214, 31537789, 1, 9, 12)
+        den = dec.n * (dec.n * dec.d * dec.b) ** 2
+        rows = tuple(row[:5] + (row[5] * 7 + i + 1,) + row[6:8] + (row[8] * 7 + 3,)
+                     for i, row in enumerate(dec.rows))
+        mutated = dec._replace(rows=rows)
+        assert sum(den % y != 0 for *_, y in knopp._deviation_pairs(mutated)) > 20
+        devs = [abs(t.sum_value / t.expected - 1) for t in mutated.terms]
+        assert min(devs) > 0
+        ones = [v for t, v in zip(mutated.terms, devs) if t.m == 1]
+        assert mean_deviations(mutated) == (sum(devs, Fraction(0)) / 28, sum(ones, Fraction(0)) / 12)
+
     def test_unit_m_count_is_n(self):
         rng = random.Random(101)
         for _ in range(20):
@@ -442,6 +456,22 @@ class TestReports:
         path = tmp_path / "report.json"
         write_scan_json(report, str(path))
         assert json.loads(path.read_text())["config"]["n"] == 12
+
+    @pytest.mark.parametrize("config, jobs", [
+        pytest.param(ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=10 ** 8 + 1, b_count=0), 1, id="empty"),
+        pytest.param(ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=5, b_count=4), 1, id="all_ruled_out"),
+        pytest.param(ExperimentConfig(n=12, d=9, c_list=(1, 4), b_start=10 ** 8, b_count=6,
+                                      b_mode=B_MODE_RANDOM, rng_seed=42), 1, id="random"),
+        pytest.param(ExperimentConfig(n=30, d=7, c_list=(1, 2, 3), b_start=10 ** 15, b_count=5,
+                                      b_mode=B_MODE_RANDOM, rng_seed=7), 2, id="jobs2"),
+    ])
+    def test_json_bytes_are_the_json_module_bytes(self, tmp_path, config, jobs):
+        # the writer fills a record template; json.dumps of the dict view is the oracle
+        report = run_scan(config, jobs=jobs)
+        path = tmp_path / "report.json"
+        write_scan_json(report, str(path))
+        expected = json.dumps(scan_report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == expected
 
     def test_json_is_streamed(self, tmp_path):
         # the writer never holds the whole text: past the dict it renders, its

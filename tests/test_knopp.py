@@ -13,6 +13,7 @@ from fareysum.dedekind import dedekind_fast, dedekind_naive
 from fareysum.farey import PremiseError, farey_context, is_farey_neighbour
 from fareysum.knopp import (
     _deviation_pairs,
+    _farey_terms,
     decompose,
     deviation_profile,
     identity_discrepancy,
@@ -151,6 +152,20 @@ class TestDecompose:
         changed = dec._replace(rows=dec.rows[:-1] + (row[:8] + (row[8] + row[5],),))
         assert changed.terms[:-1] == dec.terms[:-1]
         assert changed.terms[-1].sum_value == dec.terms[-1].sum_value + 1
+
+
+@pytest.mark.parametrize("c, d, n", [(1, 9, 12), (0, 1, 6), (11, 9, 12), (40, 7, 30), (-5, 9, 12), (-13, 4, 24)])
+def test_farey_term_table_matches_per_term_gcds(c, d, n):
+    # c >= d and c < 0 included: the table is not limited to 0 <= c < d
+    expected = []
+    for r in divisors(n):
+        for j in range(r):
+            num_c, rd = (n // r) * c + j * d, r * d
+            m = gcd(num_c, rd)
+            expected.append((m, num_c // m, rd // m))
+    assert list(_farey_terms(c, d, n)) == expected
+    dec = decompose(1, 10 ** 6 + 3, c, d, n)
+    assert [(row[3], row[6], row[7]) for row in dec.rows] == expected
 
 
 class TestVerifyIdentity:

@@ -66,6 +66,7 @@ def test_rejections_share_one_text(name):
 GOOD_QUERY = CountingQuery(6, 3, 1, 3)
 GOOD_CONFIG = ExperimentConfig(n=2, d=3, c_list=(1, 2), b_start=1000, b_count=1)
 SEED_RANGE = f"rng_seed must be an integer in [0, {2 ** 64 - 1}]"
+B_COUNT_RANGE = "b_count must be an integer in [0, 1000000]"
 BAD_RECORDS = {
     "query_bad_n": (GOOD_QUERY, {"n": 0}, "n must be an integer >= 1, got 0"),
     "query_bad_d": (GOOD_QUERY, {"d": 0}, "d must be an integer >= 1, got 0"),
@@ -74,8 +75,9 @@ BAD_RECORDS = {
     "query_m_not_dividing_n": (GOOD_QUERY, {"m": 4}, "m = 4 must be a positive divisor of n = 6"),
     "config_bad_n": (GOOD_CONFIG, {"n": 0}, "n must be an integer in [1, 10000], got 0"),
     "config_bad_d": (GOOD_CONFIG, {"d": 0}, "d must be an integer >= 1, got 0"),
-    "config_negative_b_count": (GOOD_CONFIG, {"b_count": -1}, "b_count must be an integer >= 0, got -1"),
-    "config_float_b_count": (GOOD_CONFIG, {"b_count": 2.0}, "b_count must be an integer >= 0, got 2.0"),
+    "config_negative_b_count": (GOOD_CONFIG, {"b_count": -1}, f"{B_COUNT_RANGE}, got -1"),
+    "config_float_b_count": (GOOD_CONFIG, {"b_count": 2.0}, f"{B_COUNT_RANGE}, got 2.0"),
+    "config_b_count_above_limit": (GOOD_CONFIG, {"b_count": 10 ** 6 + 1}, f"{B_COUNT_RANGE}, got 1000001"),
     "config_repeated_c": (GOOD_CONFIG, {"c_list": (1, 2, 1)}, "c = 1 is repeated in c_list"),
     # splitmix64 keeps only the low 64 bits, so any other seed would echo a value it did not use
     "config_seed_negative": (GOOD_CONFIG, {"rng_seed": -1}, f"{SEED_RANGE}, got -1"),
@@ -138,7 +140,7 @@ RANGE_CASES = {
     "format_decimal": [(lambda: format_decimal(Fraction(1, 3), 0), "sig_digits must be an integer >= 1, got 0"),
                        (lambda: format_decimal(Fraction(1, 3), 2.0), "sig_digits must be an integer >= 1, got 2.0")],
     "verify_theorem2": [(lambda: verify_theorem2(0, 3), "max_n must be an integer in [1, 10000], got 0"),
-                        (lambda: verify_theorem2(3, 2.0), "max_d must be an integer >= 1, got 2.0")],
+                        (lambda: verify_theorem2(3, 2.0), "max_d must be an integer in [1, 10000], got 2.0")],
     "run_scan": [(lambda: run_scan(TABLE_CONFIG, jobs=0), "jobs must be an integer >= 1, got 0"),
                  (lambda: run_scan(TABLE_CONFIG, jobs=2.0), "jobs must be an integer >= 1, got 2.0")],
 }
