@@ -12,8 +12,9 @@ cap.  The fast path is the integer continued-fraction form: for
 (Hickerson, J. reine angew. Math. 290 (1977); Knuth, TAOCP vol. 2,
 section 3.3.3; Rademacher-Grosswald, *Dedekind Sums* (1972)).  The Euclid
 pass also yields a*, with no second pass through `pow(a, -1, b)`; it runs
-in O(log b) integer steps, builds one `Fraction` per call, and agrees with
-the oracle bit for bit.
+in O(log b) integer steps and agrees with the oracle bit for bit.  It lives
+once, in the integer core `dedekind_numerator`, (N, b') with 12 s = N / b';
+`dedekind_fast` builds one `Fraction` over it.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def dedekind_naive(a: int, b: int) -> Fraction:
     return Fraction(total, 4 * b * b)
 
 
-def dedekind_fast(a: int, b: int) -> Fraction:
-    """s(a, b) in O(log b) integer steps, via the continued fraction of b/a.
+def dedekind_numerator(a: int, b: int) -> tuple[int, int]:
+    """(N, b') with S(a, b) = 12 s(a, b) = N / b' and b' = b / gcd(a, b).
 
     Imprimitive input reduces first via s(ag, bg) = s(a, b).  The loop runs
     Euclid on (b, a) two steps at a time, accumulating the alternating sum
@@ -54,7 +55,7 @@ def dedekind_fast(a: int, b: int) -> Fraction:
     require_range("a", a)
     a %= b
     if a == 0:
-        return Fraction(0)
+        return 0, 1
     g = gcd(a, b)
     if g != 1:
         a, b = a // g, b // g
@@ -76,4 +77,10 @@ def dedekind_fast(a: int, b: int) -> Fraction:
             correction, inverse = 1, -ux % b
             break
         uy += q * ux
-    return Fraction((alternating - correction) * b + a + inverse, 12 * b)
+    return (alternating - correction) * b + a + inverse, b
+
+
+def dedekind_fast(a: int, b: int) -> Fraction:
+    """s(a, b) in O(log b) integer steps, via the continued fraction of b/a."""
+    num, b = dedekind_numerator(a, b)
+    return Fraction(num, 12 * b)

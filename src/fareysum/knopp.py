@@ -10,6 +10,13 @@ quadruple (a', b', c', d') with q' = a'd' - b'c' = n q / (k m), and the
 expected value (m^2 / n) E(a, b).  Under the exact premises checked by
 `farey.satisfies_theorem1_premises`, every reduced quadruple is itself a
 Farey neighbour and every term is positive.
+
+Each term's S(a', b') comes by Rademacher's three-term relation (Duke Math.
+J. 21 (1954)) from the short pair (x', |q'|), with u'c' + v'd' = 1, e = sign q'
+and x' = -e (u'a' + v'b'), where u', v' and S(c', d') sit in a cached table:
+    S(a', b') = S(c', d') + S(x', |q'|) + (b'^2 + d'^2 + q'^2)/(b'd'q') - 3e.
+The base S(a, b) stays on the direct route, so `verify_identity` checks one
+route against the other.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .dedekind import dedekind_fast
+from .dedekind import dedekind_fast, dedekind_numerator
 from .farey import FareyContext, PremiseError, require_farey_point, theorem1_premise_failure
 from .numtheory import divisors, require_range, sigma
 
@@ -93,25 +100,31 @@ def decompose(
     rows = []
     for r in divisors(n):
         rb, num_a = r * b, (n // r) * a  # (n/r) a + j b at j = 0
-        for j, (m, c1, d1) in zip(range(r), farey_terms):  # range first: zip takes r triples
+        for j, (m, c1, d1, u1, v1, n1) in zip(range(r), farey_terms):  # range first: zip takes r entries
             k = gcd(num_a, rb)
             a1, b1 = num_a // k, rb // k
-            s = dedekind_fast(a1, b1)  # = s(num_a, rb); 12 s = N / b', its denominator divides 12 b'
-            rows.append((r, j, k, m, a1, b1, c1, d1, 12 * b1 // s.denominator * s.numerator))
+            q1 = a1 * d1 - b1 * c1  # = n q / (k m), never 0
+            e, q1 = (1, q1) if q1 > 0 else (-1, -q1)
+            s = dedekind_fast(-e * (u1 * a1 + v1 * b1), q1)  # S(x', |q'|) = 12 s; its denominator divides 12 |q'|
+            den = d1 * q1  # b' den S(a', b') = b' |q'| N1 + b' den 12 s + e (b'^2 + d'^2 + q'^2 - 3 b' den)
+            num = b1 * (q1 * n1 + 12 * den // s.denominator * s.numerator) + e * (b1 * b1 + d1 * d1 + q1 * q1 - 3 * b1 * den)
+            rows.append((r, j, k, m, a1, b1, c1, d1, num // den))
             num_a += b
     return Decomposition(n, a, b, c, d, q, base_sum, tuple(rows))
 
 
 @lru_cache(maxsize=8)  # a scan visits its c values one after another
-def _farey_terms(c: int, d: int, n: int) -> tuple[tuple[int, int, int], ...]:
-    """(m, c', d') per (r, j), in (r, j) order: the part of each term that
-    depends on (c, d, n) alone, so one table serves every b of a scan."""
+def _farey_terms(c: int, d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """(m, c', d', u', v', N1) per (r, j), in (r, j) order, u'c' + v'd' = 1 and S(c', d') = N1 / d':
+    the part of each term that depends on (c, d, n) alone, so one table serves every b of a scan."""
     terms = []
     for r in divisors(n):
         rd, num_c = r * d, (n // r) * c  # (n/r) c + j d at j = 0
         for _ in range(r):
             m = gcd(num_c, rd)
-            terms.append((m, num_c // m, rd // m))
+            c1, d1 = num_c // m, rd // m
+            u1 = pow(c1, -1, d1)
+            terms.append((m, c1, d1, u1, (1 - u1 * c1) // d1, dedekind_numerator(c1, d1)[0]))
             num_c += d
     return tuple(terms)
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import draw_base, draw_context
+from fareysum import knopp
 from fareysum.dedekind import dedekind_fast, dedekind_naive
 from fareysum.farey import PremiseError, farey_context, is_farey_neighbour
 from fareysum.knopp import (
@@ -163,9 +164,74 @@ def test_farey_term_table_matches_per_term_gcds(c, d, n):
             num_c, rd = (n // r) * c + j * d, r * d
             m = gcd(num_c, rd)
             expected.append((m, num_c // m, rd // m))
-    assert list(_farey_terms(c, d, n)) == expected
+    table = _farey_terms(c, d, n)
+    assert [entry[:3] for entry in table] == expected
+    for _, c1, d1, u1, v1, n1 in table:
+        assert u1 * c1 + v1 * d1 == 1
+        assert n1 == 12 * d1 * dedekind_naive(c1, d1)  # S(c', d') = N1 / d'
     dec = decompose(1, 10 ** 6 + 3, c, d, n)
     assert [(row[3], row[6], row[7]) for row in dec.rows] == expected
+
+
+def assert_rows_match_the_long_route(dec):
+    # N = b' S(a', b'), with S(a', b') straight from the Euclid pass on (a', b')
+    for _, _, _, _, a1, b1, _, _, num in dec.rows:
+        assert num == b1 * 12 * dedekind_fast(a1, b1)
+
+
+class TestShortPairRoute:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 10 ** 18), st.integers(-10 ** 18, 10 ** 18), st.integers(1, 12),
+        st.integers(-40, 40), st.integers(1, 60), st.integers(1, 6),
+    )
+    def test_rows_equal_the_long_route(self, b, a, d, c, n, g):
+        # a of either sign and, through g, not prime to b; c outside [0, d)
+        assume(gcd(c, d) == 1)
+        a, b = a * g, b * g
+        assume(a * d != b * c)
+        assert_rows_match_the_long_route(decompose(a, b, c, d, n))
+
+    @pytest.mark.parametrize("a, b, c, d, n, q", [
+        (-1, 3, 0, 1, 1, -1),  # q' = -1
+        (1, 3, 0, 1, 1, 1),  # |q'| = 1, so x' = 0 mod 1
+        (5, 13, 7, 5, 12, -66),  # q < 0, so every q' = n q / (k m) < 0
+        (3504214, 31537789, 1, 9, 12, 137),  # the worked example
+    ])
+    def test_edge_cases(self, a, b, c, d, n, q):
+        dec = decompose(a, b, c, d, n)
+        assert dec.q == q
+        assert_rows_match_the_long_route(dec)
+
+    def test_d_prime_one_has_u_zero_v_one(self):
+        # (c, d) = (0, 1): every r = 1 entry, and j = 0 for any r, has d' = 1
+        table = _farey_terms(0, 1, 6)
+        assert table[0] == (1, 0, 1, 0, 1, 0)
+        assert_rows_match_the_long_route(decompose(7, 10 ** 18 + 9, 0, 1, 6))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_decompose_calls_dedekind_fast_once_per_term_plus_base(monkeypatch, warm):
+    # the benchmark's call shape: sigma(n) + 1 calls to knopp.dedekind_fast,
+    # the base on (a, b) and each term on the short modulus n |q| / (k m)
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return dedekind_fast(a, b)
+
+    monkeypatch.setattr(knopp, "dedekind_fast", counted)
+    rng = random.Random(107)
+    for _ in range(20):
+        a, b, c, d, n = draw_base(rng, 10 ** 15, 30)
+        _farey_terms.cache_clear()
+        if warm:
+            decompose(a, b, c, d, n)
+        calls.clear()
+        dec = decompose(a, b, c, d, n)
+        assert len(calls) == sigma(n) + 1
+        assert calls[0] == b
+        assert calls[1:] == [n * abs(dec.q) // (k * m) for _, _, k, m, *_ in dec.rows]
 
 
 class TestVerifyIdentity:
