@@ -142,8 +142,8 @@ class TestPoolSize:
         assert len(forks) == 8
 
     def test_scan_keeps_a_bounded_window_in_flight(self, forks, paused):
-        # 40 cells over 2 workers make 16 runs of 2 or 3 cells: each worker starts
-        # 4 runs, and no more until the first result is passed on
+        # 40 cells over 2 workers make 16 runs of 2 or 3 cells: the workers start
+        # 8 runs between them, and no more until the first result is passed on
         config = ExperimentConfig(**TABLE, c_list=(1, 2), b_count=20)
         serial = run_scan(config)
         seen = paused(experiments)
@@ -151,7 +151,7 @@ class TestPoolSize:
         runs, started = seen
         assert len(forks) == 2
         assert sorted(map(len, runs)) == [2] * 8 + [3] * 8
-        assert started == [pool.IN_FLIGHT_PER_WORKER] * 2 == [4, 4]
+        assert sum(started) == pool.IN_FLIGHT_PER_WORKER * 2 == 8
 
     def test_scan_of_one_cell_starts_no_pool(self, forks):
         config = ExperimentConfig(**TABLE, c_list=(1,), b_count=1)
@@ -177,14 +177,16 @@ class TestPoolSize:
 
     @pytest.mark.parametrize("csv", [False, True])
     def test_sweep_keeps_a_bounded_window_of_n_in_flight(self, forks, paused, csv, tmp_path):
-        # 40 values of n over 2 workers: each worker starts 4, and no more until
-        # the first result is passed on
+        # 40 values of n over 2 workers: the workers start 8 between them, and no
+        # more until the first result is passed on
         path = str(tmp_path / "sweep.csv") if csv else None
         serial = counting.verify_theorem2(40, 3)
         seen = paused(counting)
         assert counting.verify_theorem2(40, 3, jobs=2, csv_path=path) == serial
         assert len(forks) == 2
-        assert seen == [list(range(1, 41)), [pool.IN_FLIGHT_PER_WORKER] * 2]
+        ns, started = seen
+        assert ns == list(range(1, 41))
+        assert sum(started) == pool.IN_FLIGHT_PER_WORKER * 2
 
 
 def _square(x):
@@ -198,6 +200,21 @@ def _first_only(x):
     return [x]
 
 
+def _slow_last(x):
+    """[x], after 0.5 s on item 19."""
+    if x == 19:
+        time.sleep(0.5)
+    return [x]
+
+
+def _killed_after_the_first(x):
+    """[0] for item 0; any other item kills its worker after 0.2 s."""
+    if x:
+        time.sleep(0.2)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return [x]
+
+
 def _pid_of(x):
     """The worker's pid, after 0.1 s on an even item."""
     if x % 2 == 0:
@@ -207,7 +224,7 @@ def _pid_of(x):
 
 def _broken(fn, is_bad, how):
     """fn, except that an item `is_bad` accepts makes the worker raise
-    ValueError, or kill itself with SIGKILL; never in this process."""
+    ValueError, kill itself with SIGKILL, or exit 0; never in this process."""
     parent = os.getpid()
 
     def broken(item, *args, **kwargs):
@@ -215,6 +232,8 @@ def _broken(fn, is_bad, how):
             assert os.getpid() != parent, "a broken item ran in the test process"
             if how == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
+            if how == "exit 0":
+                os._exit(0)
             raise ValueError(f"item {item!r} is bad")
         return fn(item, *args, **kwargs)
 
@@ -252,6 +271,56 @@ class TestNoWorkerOutlivesTheCall:
         results.close()
         assert len(forks) == 3
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_pipe_end_outlives_the_call(self, forks):
+        # the shared index pipe's two ends are the parent's too
+        before = len(os.listdir("/proc/self/fd"))
+        assert list(ordered_map(_square, range(50), 3)) == [[x * x] for x in range(50)]
+        with pytest.raises(ValueError):
+            list(ordered_map(_broken(_square, (17).__eq__, "raise"), range(50), 3))
+        results = ordered_map(_first_only, range(50), 3)
+        assert next(results) == [0]
+        results.close()
+        assert len(forks) == 9
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+class TestTheSharedIndexPipe:
+    """Three workers read item indices from one pipe: each index must reach
+    exactly one of them, whole, and a worker that finds the pipe drained is
+    not dead."""
+
+    def test_every_item_once_in_order(self, forks):
+        assert list(ordered_map(_square, range(2000), 3)) == list(map(_square, range(2000)))
+        assert len(forks) == 3
+
+    def test_workers_that_drain_the_pipe_are_not_dead(self, forks):
+        # once index 19 is sent the pipe closes: two workers exit 0 while the
+        # third is still busy on item 19
+        assert list(ordered_map(_slow_last, range(20), 3)) == [[x] for x in range(20)]
+        assert len(forks) == 3
+
+    @pytest.mark.parametrize("bad", [5, 45])
+    def test_a_worker_that_exits_0_in_an_item_is_dead(self, forks, bad):
+        # item 5 is taken while the pipe is open, item 45 mostly after it closed
+        with pytest.raises(ChildProcessError, match="^a worker process died: exit status 0$"):
+            list(ordered_map(_broken(_square, bad.__eq__, "exit 0"), range(50), 3))
+        assert len(forks) == 3
+
+    def test_every_worker_killed(self, forks):
+        with pytest.raises(ChildProcessError, match="^a worker process died: killed by signal 9$"):
+            list(ordered_map(_broken(_square, lambda x: True, "kill"), range(50), 3))
+        assert len(forks) == 3
+
+    def test_every_worker_killed_after_a_result(self, forks):
+        # the index written once item 0 is passed on finds no worker left to read it
+        results = ordered_map(_killed_after_the_first, range(50), 3)
+        assert next(results) == [0]
+        time.sleep(1)
+        with pytest.raises(ChildProcessError, match="^a worker process died: killed by signal 9$"):
+            next(results)
+        assert len(forks) == 3
+
 
 def test_a_worker_exception_keeps_its_traceback(forks):
     def f(x):
@@ -265,8 +334,8 @@ def test_a_worker_exception_keeps_its_traceback(forks):
 
 
 def test_items_go_to_the_least_busy_worker(forks):
-    # i % 2 would give one worker every slow item; the worker done with its
-    # fast ones takes the next items instead
+    # i % 2 would give one worker every slow item; a worker done with its
+    # fast ones takes the next items from the pipe instead
     pids = [pid for [pid] in ordered_map(_pid_of, range(12), 2)]
     assert len(set(pids[0::2])) == 2
 
