@@ -100,6 +100,8 @@ class ExperimentConfig(_ExperimentFields):
         if b_mode not in (B_MODE_CONSECUTIVE, B_MODE_RANDOM):
             raise ValueError(f"unknown b_mode: {b_mode!r}")
         require_range("rng_seed", rng_seed, 0, _MASK64)
+        if rng_seed and b_mode != B_MODE_RANDOM:  # an unused seed would still be echoed
+            raise ValueError(f"rng_seed must be 0 unless b_mode is 'random', got {rng_seed}")
         if not c_list:
             raise ValueError("c_list must not be empty")
         for i, c in enumerate(c_list):

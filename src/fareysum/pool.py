@@ -3,8 +3,9 @@
 Workers are forked, so they inherit the function and its items and no
 input is pickled: all take item indices from one shared pipe, and each
 writes its pickled results to its own.  A pool is never sized past the
-usable CPUs or the work, and holds a few items per worker in flight.
-`pickle` loads on the first pooled call; without `os.fork` every run is serial.
+usable CPUs or the work, and holds a few items per worker in flight.  A
+worker lives until its run ends; one that ends sooner died.  `pickle`
+loads on the first pooled call; without `os.fork` every run is serial.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ def ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator[Iterable]:
     and not yet passed on, and each result crosses back as a list.  `jobs`
     is checked at the call, before any item runs.  An exception raised by
     fn in a worker is raised here with its own type, from a cause that holds
-    its traceback in the worker; a worker that died raises
-    `ChildProcessError`, an `OSError`.  No worker outlives the iteration,
-    however it ends."""
+    its traceback in the worker; a worker that ends before the last result
+    is passed on died, and raises `ChildProcessError`, an `OSError`.  No
+    worker outlives the iteration, however it ends."""
     workers = worker_count(jobs, len(items))
     return map(fn, items) if workers == 1 else _pooled(fn, items, workers)
 
@@ -52,17 +53,18 @@ def _pooled(fn: Callable, items: Sequence, workers: int) -> Iterator[list]:
     first window of them before the first fork, then one more per result
     passed on, so at most IN_FLIGHT_PER_WORKER * workers are sent out and
     not yet passed on.  Results carry their index; they are read as they
-    arrive and passed on in input order."""
+    arrive and passed on in input order.  The index pipe stays open until
+    the run ends, so any EOF on a result pipe before then is a death,
+    whatever the exit status; at the end every worker left is killed."""
     import pickle
     import select
     import signal
 
-    task_r, task_w = os.pipe()  # the read end is held here to the end, so no write meets EPIPE
-    pids, tasks, results = [], [task_w], []
+    task_r, task_w = os.pipe()  # held to the end: no write meets EPIPE, no worker leaves early
+    pids, results = [], []
     ready = {}  # results read ahead of the next item to pass on
     arrivals = select.poll()
     sent = passed = 0
-    finished = False
 
     def send_more():
         nonlocal sent
@@ -70,8 +72,6 @@ def _pooled(fn: Callable, items: Sequence, workers: int) -> Iterator[list]:
             # one record a write, under PIPE_BUF: no worker reads part of another's
             os.write(task_w, sent.to_bytes(_WORD_BYTES, "little"))
             sent += 1
-            if sent == len(items):  # each worker exits 0 once it has drained the pipe
-                os.close(tasks.pop())
 
     try:
         send_more()
@@ -82,7 +82,7 @@ def _pooled(fn: Callable, items: Sequence, workers: int) -> Iterator[list]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _serve(fn, items, task_r, result_w, tasks + results)
+                    _serve(fn, items, task_r, result_w, [task_w] + results)
             finally:  # the parent's alone: a worker leaves only through os._exit
                 os.close(result_w)
             pids.append(pid)
@@ -101,9 +101,6 @@ def _pooled(fn: Callable, items: Sequence, workers: int) -> Iterator[list]:
                     _, status = os.waitpid(pids[w], 0)
                     pids[w] = None
                     code = os.waitstatus_to_exitcode(status)
-                    if code == 0 and not tasks and any(pids):  # it drained the closed pipe; others remain
-                        arrivals.unregister(fd)
-                        continue
                     how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                     raise ChildProcessError(f"a worker process died: {how}")
                 index, value = pickle.loads(frame)
@@ -111,13 +108,11 @@ def _pooled(fn: Callable, items: Sequence, workers: int) -> Iterator[list]:
                     exc, trace = value
                     raise exc from _RemoteTraceback(trace)
                 ready[index] = value
-        finished = True
-    finally:
-        for fd in [task_r] + tasks + results:
+    finally:  # finished, raised or closed early: every worker left is killed
+        for fd in [task_r, task_w] + results:
             os.close(fd)
         for pid in filter(None, pids):
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
@@ -140,12 +135,12 @@ def _read(fd: int, size: int) -> bytes | None:
 def _serve(fn: Callable, items: Sequence, task_fd: int, result_fd: int, inherited: list[int]) -> None:
     """A worker's life: for each index read from the shared `task_fd`, one
     record a read, write (index, list(fn(items[index]))) to `result_fd`,
-    pickled after its length, and exit 0 at EOF; on any exception, write
-    (None, (exc, its traceback text)) and exit 1.  It first closes the
-    parent's pipe ends it inherited: the index pipe's write end held here
-    would keep every worker from ever reaching EOF.  Only `os._exit` ends
-    it, so it never flushes the parent's buffers (stdout among them) nor
-    runs its exit hooks."""
+    pickled after its length, and exit 0 at EOF, which comes only once the
+    parent is gone; on any exception, write (None, (exc, its traceback
+    text)) and exit 1.  It first closes the parent's pipe ends it inherited:
+    the index pipe's write end held here would keep it from ever reaching
+    EOF.  Only `os._exit` ends it, so it never flushes the parent's buffers
+    (stdout among them) nor runs its exit hooks."""
     import pickle
 
     code = 1

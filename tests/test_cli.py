@@ -262,6 +262,19 @@ class TestScan:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_seed_without_random_is_refused(self, capsys, tmp_path):
+        # a consecutive scan draws no b: --seed 5 and --seed 6 would scan the
+        # same cells and echo different JSON
+        code, out, err = run(
+            capsys, "scan", "--n", "12", "--d", "9", "--c", "1",
+            "--b-start", "100000001", "--b-count", "2", "--seed", "5",
+            "--json", str(tmp_path / "report.json"),
+        )
+        assert code == 1
+        assert err == "fareysum: error: rng_seed must be 0 unless b_mode is 'random', got 5\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--csv", "--json"])
     def test_missing_report_directory_fails_before_scanning(self, capsys, tmp_path, monkeypatch, flag):
         def refuse(*args, **kwargs):

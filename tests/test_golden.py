@@ -14,6 +14,7 @@ from fareysum.experiments import (
     B_MODE_RANDOM,
     ExperimentConfig,
     run_scan,
+    scan_csv_lines,
     write_scan_csv,
     write_scan_json,
 )
@@ -52,6 +53,17 @@ def test_scan_reports_match_golden(name, jobs, tmp_path):
     write_scan_json(report, str(json_path))
     assert csv_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
     assert json_path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("exponent", [8, 9])
+def test_whole_table_matches_golden(exponent):
+    # every c row of the reproduced table, with all four shares, where the
+    # acceptance suite's criterion 6 pins four shares of c = 1
+    config = ExperimentConfig(n=12, d=9, c_list=(1, 2, 4, 5, 7, 8),
+                              b_start=10 ** exponent + 1, b_count=10000)
+    footer = [line for line in scan_csv_lines(run_scan(config, jobs=2)) if line.startswith("#agg,")]
+    golden = GOLDEN / f"table_1e{exponent}_w10000_agg.csv"
+    assert "".join(line + "\n" for line in footer).encode() == golden.read_bytes()
 
 
 def test_decompose_json_matches_golden(capsys):

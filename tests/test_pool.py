@@ -287,22 +287,33 @@ class TestNoWorkerOutlivesTheCall:
 
 class TestTheSharedIndexPipe:
     """Three workers read item indices from one pipe: each index must reach
-    exactly one of them, whole, and a worker that finds the pipe drained is
-    not dead."""
+    exactly one of them, whole.  The parent holds the pipe open until the
+    run ends, so no worker leaves early, and one that does is dead."""
 
     def test_every_item_once_in_order(self, forks):
         assert list(ordered_map(_square, range(2000), 3)) == list(map(_square, range(2000)))
         assert len(forks) == 3
 
     def test_workers_that_drain_the_pipe_are_not_dead(self, forks):
-        # once index 19 is sent the pipe closes: two workers exit 0 while the
-        # third is still busy on item 19
+        # two workers find the pipe drained while the third is still busy on
+        # item 19: they wait on it, idle, until the run ends
         assert list(ordered_map(_slow_last, range(20), 3)) == [[x] for x in range(20)]
+        assert len(forks) == 3
+
+    @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+    def test_no_worker_exits_before_the_run_ends(self, forks):
+        results = ordered_map(_slow_last, range(20), 3)
+        assert [next(results) for _ in range(19)] == [[x] for x in range(19)]
+        time.sleep(0.2)  # while item 19 runs, time for an idle worker to exit
+        probe = os.WEXITED | os.WNOHANG | os.WNOWAIT  # looks, reaps nothing
+        assert [pid for pid in forks if os.waitid(os.P_PID, pid, probe)] == []
+        assert list(results) == [[19]]
         assert len(forks) == 3
 
     @pytest.mark.parametrize("bad", [5, 45])
     def test_a_worker_that_exits_0_in_an_item_is_dead(self, forks, bad):
-        # item 5 is taken while the pipe is open, item 45 mostly after it closed
+        # item 5 is taken while most of the items are still to be sent, item 45
+        # once the last index is sent: either way the worker left before the end
         with pytest.raises(ChildProcessError, match="^a worker process died: exit status 0$"):
             list(ordered_map(_broken(_square, bad.__eq__, "exit 0"), range(50), 3))
         assert len(forks) == 3

@@ -83,6 +83,8 @@ BAD_RECORDS = {
     "config_seed_negative": (GOOD_CONFIG, {"rng_seed": -1}, f"{SEED_RANGE}, got -1"),
     "config_seed_too_large": (GOOD_CONFIG, {"rng_seed": 2 ** 64}, f"{SEED_RANGE}, got {2 ** 64}"),
     "config_float_seed": (GOOD_CONFIG, {"rng_seed": 5.0}, f"{SEED_RANGE}, got 5.0"),
+    # a consecutive scan draws no b, so two seeds would echo different JSON for the same cells
+    "config_unused_seed": (GOOD_CONFIG, {"rng_seed": 5}, "rng_seed must be 0 unless b_mode is 'random', got 5"),
 }
 
 # every way to build a record: (good record, field changes, all field values)
