@@ -348,14 +348,6 @@ class ExampleReport(NamedTuple):
     max_at: tuple[int, int]
     mean_deviation: Fraction
 
-    @property
-    def sum_value(self) -> Fraction:
-        return self.decomposition.base_sum
-
-    @property
-    def expected(self) -> Fraction:
-        return self.decomposition.base_expected
-
 
 def run_example() -> ExampleReport:
     """Decompose the worked example and collect its deviation statistics."""

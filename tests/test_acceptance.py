@@ -92,10 +92,12 @@ def test_criterion_3_example_regression():
     report = run_example()
     elapsed = time.time() - t0
     checks = [
-        ("S within 0.001 of 25573.432", abs(float(report.sum_value) - 25573.432) <= 0.001),
+        ("S within 0.001 of 25573.432",
+         abs(float(report.decomposition.base_sum) - 25573.432) <= 0.001),
         ("S exactly 806529511236/31537789",
-         report.sum_value == Fraction(806529511236, 31537789)),
-        ("E within 0.001 of 25578.093", abs(float(report.expected) - 25578.093) <= 0.001),
+         report.decomposition.base_sum == Fraction(806529511236, 31537789)),
+        ("E within 0.001 of 25578.093",
+         abs(float(report.decomposition.base_expected) - 25578.093) <= 0.001),
         ("term count 28", len(report.decomposition.terms) == 28),
         ("max deviation 0.04659 +/- 0.00001 at (6, 1)",
          abs(float(report.max_deviation) - 0.04659) <= 0.00001 and report.max_at == (6, 1)),
@@ -105,8 +107,8 @@ def test_criterion_3_example_regression():
     failed = [name for name, good in checks if not good]
     _report(3, not failed, f"worked-example regression; failed sub-checks: {failed or 'none'}")
     assert not failed, (
-        f"failed: {failed}; S(3504214, 31537789) = {report.sum_value} "
-        f"~ {float(report.sum_value):.3f}, expected 806529511236/31537789 ~ 25573.432 "
+        f"failed: {failed}; S(3504214, 31537789) = {report.decomposition.base_sum} "
+        f"~ {float(report.decomposition.base_sum):.3f}, expected 806529511236/31537789 ~ 25573.432 "
         f"(confirmed by the O(b) oracle and an integer direct summation)"
     )
 

@@ -2,7 +2,9 @@
 multiplicativity, and the n/m closed form."""
 
 import csv
+import os
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -269,3 +271,17 @@ class TestSweepCsv:
         assert all(row["ok"] == "1" for row in rows)
         for row in rows:
             assert int(row["brute"]) == int(row["formula"]) == int(row["closed_form"])
+
+    def test_serial_sweep_streams_its_csv(self, tmp_path):
+        # one (n, d) block at a time: the peak is a fraction of the CSV, which
+        # a sweep that held its rows would exceed
+        path = str(tmp_path / "sweep.csv")
+        verify_theorem2(2, 3, csv_path=path)  # warm-up: imports and first-call caches
+        tracemalloc.start()
+        try:
+            report = verify_theorem2(4, 120, csv_path=path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.rows_checked == 35088
+        assert peak < os.path.getsize(path) / 4, (peak, os.path.getsize(path))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import draw_base, draw_context
 from fareysum import knopp
 from fareysum.dedekind import dedekind_fast, dedekind_naive
+from fareysum.experiments import select_neighbour
 from fareysum.farey import PremiseError, farey_context, is_farey_neighbour
 from fareysum.knopp import (
     _deviation_pairs,
@@ -283,6 +285,33 @@ class TestDeviationProfile:
         assert negative > 20
         with pytest.raises(ValueError, match="degenerate"):
             decompose(2, 3, 2, 3, 4)
+
+
+def test_every_term_is_close_to_its_expected_value():
+    # the three-term relation in the module docstring gives
+    #   S[r,j] - E[r,j] = S(c', d') + S(x', |q'|) + d'/(b'q') + q'/(b'd') - 3e
+    # with E[r,j] = b'/(d'q'), and Rademacher-Grosswald bound |S(x, q)| by
+    # (q - 1)(q - 2)/q: the paper's "close to its expected value", term by term
+    def assert_close(dec):
+        for t in dec.terms:
+            _, b1, c1, d1 = t.reduced
+            q1 = abs(t.q_prime)
+            bound = (abs(S(c1, d1)) + 3 + Fraction(d1, b1 * q1) + Fraction(q1, b1 * d1)
+                     + Fraction((q1 - 1) * (q1 - 2), q1))
+            assert abs(t.sum_value - t.expected) <= bound, (dec, t)
+
+    rng = random.Random(113)
+    signs = set()
+    for _ in range(300):
+        a, b, c, d, n = draw_base(rng, 10 ** 6, 60, d_hi=15)
+        dec = decompose(rng.choice((1, -1)) * a, b, c, d, n)
+        signs.add(dec.q > 0)
+        assert_close(dec)
+    assert signs == {False, True}
+    for n, d, c_list, b_start in ((12, 9, (1, 2, 4, 5, 7, 8), 10 ** 8), (30, 7, (1, 2, 3), 10 ** 15)):
+        cells = ((b, c, select_neighbour(b, c, d, n)[0]) for b in count(b_start + 1) for c in c_list)
+        for b, c, a in islice(((b, c, a) for b, c, a in cells if a is not None), 8):
+            assert_close(decompose(a, b, c, d, n))
 
 
 class TestThreeTermResidual:
