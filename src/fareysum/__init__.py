@@ -14,11 +14,8 @@ from .counting import (
     count_A_brute,
     count_A_formula,
     lemma1_count,
-    multiplicity_histogram,
-    sweep_rows,
     verify_lemma3,
     verify_theorem2,
-    write_sweep_csv,
 )
 from .dedekind import dedekind_fast, dedekind_naive
 from .farey import (
@@ -44,7 +41,6 @@ from .experiments import (
     ScanAggregate,
     ScanRecord,
     ScanReport,
-    format_decimal,
     mean_deviations,
     run_example,
     run_scan,
@@ -52,12 +48,6 @@ from .experiments import (
     write_scan_csv,
     write_scan_json,
 )
-from .numtheory import (
-    d_part,
-    divisors,
-    euler_phi,
-    factorize,
-    sigma,
-)
+from .numtheory import d_part, euler_phi, sigma
 
 __version__ = "0.1.0"

@@ -56,13 +56,18 @@ class CountingQuery(_CountingFields):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
+def _lemma1(r: int, d: int) -> int:
+    """Lemma 1's count (r)_d phi((r)_d^perp), without `lemma1_count`'s checks."""
+    part = d_part(r, d)
+    return part * euler_phi(r // part)
+
+
 def lemma1_count(r: int, d: int, s: int) -> int:
     """#{k mod r : gcd(s + k d, r) = 1} = (r)_d phi((r)_d^perp), gcd(s, d) = 1."""
     require_range("r", r, 1)
     require_range("d", d, 1)
     require_coprime(s, d, "s must be prime to d")
-    part = d_part(r, d)
-    return part * euler_phi(r // part)
+    return _lemma1(r, d)
 
 
 def multiplicity_histogram(n: int, c: int, d: int) -> Counter:
@@ -85,11 +90,10 @@ def count_A_formula(query: CountingQuery) -> int:
     delta = gcd(m, d)
     n1, m1, d1 = n // delta, m // delta, d // delta
     total = 0
-    for r in divisors(n1):
-        if r % m1 == 0 and gcd(n // r, d) == delta:
-            rm = r // m1
-            part = d_part(rm, d1)
-            total += part * euler_phi(rm // part)
+    # the sum's m' | r | n' as r = m' s, s | n'/m': each term is Lemma 1's count at s
+    for s in divisors(n1 // m1):
+        if gcd(n // (m1 * s), d) == delta:
+            total += _lemma1(s, d1)
     return total
 
 

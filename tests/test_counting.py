@@ -9,9 +9,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fareysum import counting
 from fareysum.counting import (
+    BRUTE_LIMIT,
     CountingQuery,
     count_A_brute,
     count_A_formula,
@@ -100,6 +103,22 @@ class TestCountA:
             c = rng.choice([x for x in range(d) if gcd(x, d) == 1])
             query = CountingQuery(n, m, c, d)
             assert count_A_brute(query) == count_A_formula(query) == n // m
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, BRUTE_LIMIT), st.integers(0, 63), st.integers(0, 63),
+           st.integers(1, 1000), st.integers(0, 1000))
+    @example(n=2 ** 13, i=5, j=9, k=1, x=0)  # m = 2^5, d = 2^9
+    @example(n=7560, i=21, j=52, k=1, x=7)  # m = 2^2 3^2, d = 2^2 3^3 5
+    def test_formula_is_n_over_m(self, n, i, j, k, x):
+        # m is a divisor of n; d = g k' <= 1000 with g a divisor of n, so d
+        # shares prime powers with n whenever g > 1
+        divs = divisors(n)
+        m = divs[i % len(divs)]
+        shared = [g for g in divs if g <= 1000]
+        g = shared[j % len(shared)]
+        d = g * ((k - 1) % (1000 // g) + 1)
+        cs = [c for c in range(d) if gcd(c, d) == 1]
+        assert count_A_formula(CountingQuery(n, m, cs[x % len(cs)], d)) == n // m
 
     def test_formula_independent_of_c(self):
         for n in (12, 36, 60):

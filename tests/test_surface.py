@@ -23,13 +23,19 @@ EXPORTS = [
     "FareyContext", "KnoppTerm", "PremiseError", "ScanAggregate", "ScanRecord",
     "ScanReport", "SweepReport", "SweepRow", "count_A_brute", "count_A_formula",
     "d_part", "decompose", "dedekind_fast", "dedekind_naive", "deviation_profile",
-    "divisors", "euler_phi", "factorize", "farey_context", "format_decimal",
-    "identity_discrepancy", "is_farey_neighbour", "lemma1_count", "mean_deviations",
-    "multiplicity_histogram", "run_example", "run_scan", "satisfies_theorem1_premises",
-    "select_neighbour", "sigma", "sweep_rows", "theorem1_premise_failure",
+    "euler_phi", "farey_context", "identity_discrepancy", "is_farey_neighbour",
+    "lemma1_count", "mean_deviations", "run_example", "run_scan",
+    "satisfies_theorem1_premises", "select_neighbour", "sigma", "theorem1_premise_failure",
     "three_term_residual", "verify_identity", "verify_lemma3", "verify_theorem2",
-    "write_scan_csv", "write_scan_json", "write_sweep_csv",
+    "write_scan_csv", "write_scan_json",
 ]
+
+# plumbing behind the exports, imported from its module
+PLUMBING = {
+    "numtheory": ["divisors", "factorize"],
+    "counting": ["multiplicity_histogram", "sweep_rows", "write_sweep_csv"],
+    "experiments": ["format_decimal"],
+}
 
 
 def test_exports_are_pinned():
@@ -37,8 +43,14 @@ def test_exports_are_pinned():
         name for name, value in vars(fareysum).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     )
-    assert len(EXPORTS) == 43
+    assert len(EXPORTS) == 37
     assert exported == EXPORTS
+
+
+def test_plumbing_is_imported_from_its_module():
+    for module, names in PLUMBING.items():
+        assert all(callable(getattr(getattr(fareysum, module), name)) for name in names)
+        assert [name for name in names if hasattr(fareysum, name)] == []
 
 
 RECORD_TYPES = [value for value in vars(fareysum).values()
