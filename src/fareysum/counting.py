@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from math import gcd
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .farey import require_reduced_c
@@ -72,6 +71,9 @@ def lemma1_count(r: int, d: int, s: int) -> int:
 
 def multiplicity_histogram(n: int, c: int, d: int) -> Counter:
     """Tally of m(r, j) over all r | n, 0 <= j < r (sigma(n) pairs in total)."""
+    require_range("n", n, 1)
+    require_range("c", c)
+    require_range("d", d, 1)
     return Counter(chain.from_iterable(
         map(gcd, range((n // r) * c, (n // r) * c + r * d, d), repeat(r * d))
         for r in divisors(n)
@@ -135,36 +137,43 @@ class SweepReport(NamedTuple):
         return not self.violations
 
 
-def _n_rows(n: int, max_d: int) -> Iterator[list[tuple]]:
-    """The check rows of one n, one block per d, each in (c, m) order.  A row
-    is a plain tuple with the fields of `SweepRow`, which crosses a process
-    pool and reaches the CSV writer far more cheaply than a `SweepRow`."""
+def _n_blocks(n: int, max_d: int) -> Iterator[tuple]:
+    """One block per d, (n, d, expected, counts): (m, formula, n/m) for each
+    m | n and (c, its brute counts in m order) for each c prime to d.  It
+    stands for tau(n) phi(d) rows, in (c, m) order, at a fraction of their size."""
     divs = divisors(n)
     for d in range(1, max_d + 1):
         cs = [c for c in range(d) if gcd(c, d) == 1]
         # the formula does not depend on c, so compute it once per (n, d, m)
         expected = [(m, count_A_formula(CountingQuery(n, m, cs[0], d)), n // m) for m in divs]
-        block = []
-        for c in cs:
-            hist = multiplicity_histogram(n, c, d)
-            block += [(n, m, d, c, (brute := hist[m]), formula, closed,
-                       1 if brute == formula == closed else 0)
-                      for m, formula, closed in expected]
-        yield block
+        yield n, d, expected, [(c, list(map(multiplicity_histogram(n, c, d).__getitem__, divs)))
+                               for c in cs]
 
 
-def _sweep_blocks(max_n: int, max_d: int, jobs: int) -> Iterator[list[tuple]]:
-    """Every row block of the sweep, ordered by (n, d).  The bounds are
-    checked here, before any work starts."""
+def _agreed(expected: list) -> list | None:
+    """The brute counts that make a c's rows all ok: n/m per m, or None if the formula disagrees."""
+    return [k for _, _, k in expected] if all(f == k for _, f, k in expected) else None
+
+
+def _c_rows(n: int, d: int, expected: list, c: int, brute: list) -> list[tuple]:
+    """The rows of one c of a block, as plain tuples with the fields of `SweepRow`."""
+    return [(n, m, d, c, b, f, k, 1 if b == f == k else 0)
+            for (m, f, k), b in zip(expected, brute)]
+
+
+def _sweep_blocks(max_n: int, max_d: int, jobs: int) -> Iterator[tuple]:
+    """Every block of the sweep, ordered by (n, d).  The bounds are checked
+    here, before any work starts."""
     require_range("max_n", max_n, 1, BRUTE_LIMIT)
     require_range("max_d", max_d, 1, BRUTE_LIMIT)
     return chain.from_iterable(
-        ordered_map(partial(_n_rows, max_d=max_d), range(1, max_n + 1), jobs))
+        ordered_map(partial(_n_blocks, max_d=max_d), range(1, max_n + 1), jobs))
 
 
 def sweep_rows(max_n: int, max_d: int) -> Iterator[SweepRow]:
     """Every check row, ordered by (n, d, c, m), computed in this process."""
-    return map(SweepRow._make, chain.from_iterable(_sweep_blocks(max_n, max_d, 1)))
+    return (SweepRow._make(row) for n, d, expected, counts in _sweep_blocks(max_n, max_d, 1)
+            for c, brute in counts for row in _c_rows(n, d, expected, c, brute))
 
 
 def verify_theorem2(
@@ -174,23 +183,24 @@ def verify_theorem2(
     csv_path: str | None = None,
 ) -> SweepReport:
     """Cross-check brute = formula = n/m over all n <= max_n, m | n, d <= max_d,
-    c in [0, d) prime to d, in one pass over the sweep's row blocks.  Only a
-    violation becomes a `SweepRow`; violations are collected in (n, d, c, m)
-    order.  With `csv_path`, every row is streamed to that CSV as it is checked.
+    c in [0, d) prime to d, in one pass over the sweep's blocks.  Only a c
+    that disagrees gets rows, and only their violations become `SweepRow`s,
+    in (n, d, c, m) order.  With `csv_path`, every row is streamed to that CSV.
     """
     blocks = _sweep_blocks(max_n, max_d, jobs)
     violations: list[SweepRow] = []
 
-    def checked() -> Iterator[list[tuple]]:
-        for block in blocks:
-            if not all(map(itemgetter(-1), block)):
-                violations.extend(SweepRow._make(row) for row in block if not row[-1])
-            yield block
+    def checked() -> Iterator[tuple]:
+        for n, d, expected, counts in blocks:
+            closed = _agreed(expected)
+            violations.extend(SweepRow._make(row) for c, brute in counts if brute != closed
+                              for row in _c_rows(n, d, expected, c, brute) if not row[-1])
+            yield n, d, expected, counts
 
     if csv_path is None:
-        rows_checked = sum(map(len, checked()))
+        rows_checked = sum(len(expected) * len(counts) for _, _, expected, counts in checked())
     else:
-        rows_checked = write_sweep_csv(csv_path, chain.from_iterable(checked()))
+        rows_checked = write_sweep_csv(csv_path, checked())
     return SweepReport(max_n, max_d, rows_checked, tuple(violations))
 
 
@@ -198,13 +208,21 @@ SWEEP_CSV_HEADER = SweepRow._fields
 _SWEEP_CSV_LINE = ",".join(["%d"] * len(SWEEP_CSV_HEADER)) + "\r\n"
 
 
-def write_sweep_csv(path: str, rows: Iterable[tuple]) -> int:
-    """Stream sweep rows (`SweepRow`s or tuples of the same fields, ok as
-    1/0) to CSV; returns the number of rows written."""
-    tally = count()
+def write_sweep_csv(path: str, blocks: Iterable[tuple]) -> int:
+    """Stream the sweep's (n, d) blocks to CSV as their rows, ok as 1/0, in
+    csv's default dialect; returns the number of rows written."""
+    rows = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SWEEP_CSV_HEADER) + "\r\n")
-        # csv's default dialect for plain ints; zip advances the tally once
-        # per row, inside writelines' own loop
-        fh.writelines(map(_SWEEP_CSV_LINE.__mod__, map(itemgetter(0), zip(rows, tally))))
-    return next(tally)
+        for n, d, expected, counts in blocks:
+            closed = _agreed(expected)
+            if closed is not None:
+                # ok rows read n,m,d,c,k,k,k,1 with k = n/m: str(c) joined into these parts
+                heads = [f"{n},{m},{d}," for m, _, _ in expected]
+                tails = [f",{k},{k},{k},1\r\n" for k in closed]
+                parts = [tail + head for tail, head in zip([""] + tails, heads + [""])]
+            fh.write("".join([str(c).join(parts) if brute == closed else
+                              "".join(map(_SWEEP_CSV_LINE.__mod__, _c_rows(n, d, expected, c, brute)))
+                              for c, brute in counts]))
+            rows += len(expected) * len(counts)
+    return rows

@@ -23,7 +23,6 @@ from fareysum.counting import (
     sweep_rows,
     verify_lemma3,
     verify_theorem2,
-    write_sweep_csv,
 )
 from fareysum.numtheory import divisors, sigma
 
@@ -93,6 +92,21 @@ class TestCountA:
             CountingQuery(12, 3, 3, 9)  # gcd(c, d) != 1
         with pytest.raises(ValueError):
             CountingQuery(12, 3, 9, 9)  # c out of range
+
+    @pytest.mark.parametrize("n, c, d, text", [
+        (12, 1, 0, "d must be an integer >= 1, got 0"),
+        (12, 1, -3, "d must be an integer >= 1, got -3"),
+        (0, 1, 9, "n must be an integer >= 1, got 0"),
+        (12, True, 9, "c must be an integer, got True"),
+        (12, 1.0, 9, "c must be an integer, got 1.0"),
+    ])
+    def test_histogram_validation(self, n, c, d, text):
+        with pytest.raises(ValueError) as caught:
+            multiplicity_histogram(n, c, d)
+        assert str(caught.value) == text
+        if not text.startswith("c"):  # the query states the rule for n and d in the same words
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                CountingQuery(n, 1, c, d)
 
     def test_counting_result_agreement(self):
         rng = random.Random(89)
@@ -278,11 +292,43 @@ class TestSweepViolations:
         assert {(v.n, v.m) for v in report.violations} == {(3, 3), (6, 3), (9, 3), (12, 3)}
         assert all(v.brute == v.formula == v.closed_form + 1 for v in report.violations)
 
+    @pytest.fixture
+    def histogram_wrong_for_m3(self, monkeypatch):
+        histogram = counting.multiplicity_histogram
+
+        def wrong_at_c1(n, c, d):
+            hist = histogram(n, c, d)
+            if n % 3 == 0 and c == 1:
+                hist[3] += 1
+            return hist
+
+        # at d = 3 and 4, one c of a block disagrees and the others agree
+        monkeypatch.setattr(counting, "multiplicity_histogram", wrong_at_c1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("patch", ["wrong_for_m3", "histogram_wrong_for_m3"])
+    def test_csv_is_every_row_of_sweep_rows(self, request, patch, jobs, tmp_path):
+        request.getfixturevalue(patch)
+        path = tmp_path / "sweep.csv"
+        report = verify_theorem2(self.MAX_N, self.MAX_D, jobs=jobs, csv_path=str(path))
+        rows = list(sweep_rows(self.MAX_N, self.MAX_D))
+        assert path.read_bytes() == csv_bytes(rows)
+        assert report.rows_checked == len(rows)
+        assert report.violations == tuple(row for row in rows if not row.ok)
+        assert 0 < len(report.violations) < len(rows)
+
+
+def csv_bytes(rows) -> bytes:
+    """The sweep CSV of `rows`, each rendered on its own."""
+    lines = ["n,m,d,c,brute,formula,closed_form,ok\r\n"]
+    lines += ["%d,%d,%d,%d,%d,%d,%d,%d\r\n" % row for row in rows]
+    return "".join(lines).encode()
+
 
 class TestSweepCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        written = write_sweep_csv(str(path), sweep_rows(10, 5))
+        written = verify_theorem2(10, 5, csv_path=str(path)).rows_checked
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == written
@@ -290,6 +336,7 @@ class TestSweepCsv:
         assert all(row["ok"] == "1" for row in rows)
         for row in rows:
             assert int(row["brute"]) == int(row["formula"]) == int(row["closed_form"])
+        assert [tuple(map(int, row.values())) for row in rows] == list(sweep_rows(10, 5))
 
     def test_serial_sweep_streams_its_csv(self, tmp_path):
         # one (n, d) block at a time: the peak is a fraction of the CSV, which

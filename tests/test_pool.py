@@ -168,12 +168,14 @@ class TestPoolSize:
         pooled, serial = tmp_path / "pooled.csv", tmp_path / "serial.csv"
         report = counting.verify_theorem2(20, 4, jobs=10 ** 6, csv_path=str(pooled))
         assert len(forks) == 8
-        assert report == counting.verify_theorem2(20, 4)
+        assert report == counting.verify_theorem2(20, 4, csv_path=str(serial))
         rows = list(counting.sweep_rows(20, 4))
         assert len(forks) == 8
         assert all(isinstance(row, counting.SweepRow) for row in rows)
-        assert counting.write_sweep_csv(str(serial), rows) == report.rows_checked
-        assert pooled.read_bytes() == serial.read_bytes()
+        assert len(rows) == report.rows_checked
+        assert pooled.read_bytes() == serial.read_bytes() == b"".join(
+            [b"n,m,d,c,brute,formula,closed_form,ok\r\n"]
+            + [b"%d,%d,%d,%d,%d,%d,%d,%d\r\n" % row for row in rows])
 
     @pytest.mark.parametrize("csv", [False, True])
     def test_sweep_keeps_a_bounded_window_of_n_in_flight(self, forks, paused, csv, tmp_path):
@@ -364,7 +366,7 @@ CLI_FORMS = {
               "--b-count", "10", "--jobs", "3", "--csv"],
              experiments, "_scan_cells", lambda cells: (2, 100000004) in [cell[1:] for cell in cells]),
     "verify-counting": (["verify-counting", "--max-n", "10", "--max-d", "3", "--jobs", "3", "--csv"],
-                        counting, "_n_rows", (7).__eq__),
+                        counting, "_n_blocks", (7).__eq__),
 }
 
 
