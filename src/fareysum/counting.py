@@ -10,12 +10,19 @@ direct enumeration, the divisor-sum formula
 with delta = (m, d), n' = n/delta, m' = m/delta, d' = d/delta, and the
 closed form n/m.  The sweep cross-checks all three over configurable
 bounds; its report serializes as CSV.
+
+The brute route reads one gcd for each of the sigma(n) pairs, so it stays
+independent of Lemma 1.  For r | n, the (n/r) c + j d (j < r) are the
+residues t + j' d mod r d (j' < r, t = (n/r) c mod d) in another order, so
+their gcds with r d are T[t::d] of T[x] = gcd(x, r d), built by a divisor
+sieve (T[::e] = e for each e | r d, ascending) while the (n, d) block's
+sigma(n) d entries stay within _TABLE_LIMIT.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
@@ -25,6 +32,7 @@ from .numtheory import d_part, divisors, euler_phi, require_coprime, require_ran
 from .pool import ordered_map
 
 BRUTE_LIMIT = 10 ** 4
+_TABLE_LIMIT = 1 << 16
 SWEEP_MAX_N_DEFAULT = 200
 SWEEP_MAX_D_DEFAULT = 50
 
@@ -69,15 +77,32 @@ def lemma1_count(r: int, d: int, s: int) -> int:
     return _lemma1(r, d)
 
 
+@lru_cache(maxsize=1)
+def _gcd_tables(n: int, d: int) -> list[tuple[int, list[int]]]:
+    """(n/r, T) for each r | n, T[x] = gcd(x, r d) for x < r d, by a divisor
+    sieve: the last e | r d written at x is the largest that divides x.  One
+    (n, d) block's tables are kept; the next block's evict them."""
+    tables = []
+    for r in divisors(n):
+        table = [1] * (r * d)
+        for e in sorted({a * b for a in divisors(r) for b in divisors(d)})[1:]:
+            table[::e] = [e] * (r * d // e)
+        tables.append((n // r, table))
+    return tables
+
+
 def multiplicity_histogram(n: int, c: int, d: int) -> Counter:
-    """Tally of m(r, j) over all r | n, 0 <= j < r (sigma(n) pairs in total)."""
+    """Tally of m(r, j) over all r | n, 0 <= j < r (sigma(n) pairs in total):
+    r's gcds are T[(n/r) c mod d::d] of its sieve table in `_gcd_tables` while
+    sigma(n) d <= _TABLE_LIMIT, else gcd runs per pair; one gcd per pair either way."""
     require_range("n", n, 1)
     require_range("c", c)
     require_range("d", d, 1)
+    divs = divisors(n)
+    if sum(divs) * d <= _TABLE_LIMIT:
+        return Counter(chain.from_iterable(table[k * c % d::d] for k, table in _gcd_tables(n, d)))
     return Counter(chain.from_iterable(
-        map(gcd, range((n // r) * c, (n // r) * c + r * d, d), repeat(r * d))
-        for r in divisors(n)
-    ))
+        map(gcd, range((n // r) * c, (n // r) * c + r * d, d), repeat(r * d)) for r in divs))
 
 
 def count_A_brute(query: CountingQuery) -> int:

@@ -5,6 +5,7 @@ import csv
 import os
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -154,6 +155,61 @@ class TestCountA:
             hist = multiplicity_histogram(n, c, d)
             assert sum(hist.values()) == sigma(n)
             assert all(n % m == 0 for m in hist)
+
+
+def literal_histogram(n: int, c: int, d: int) -> Counter:
+    return Counter(gcd((n // r) * c + j * d, r * d) for r in divisors(n) for j in range(r))
+
+
+class TestHistogramTables:
+    # sigma(n) d against the 2^16-entry table bound: sigma(1) 2^16 and
+    # sigma(7) 2^13 are exactly at it; 2^16 + 1, 8 (2^13 + 1) and 28 * 2341
+    # are past it; (200, 50) is the README's default sweep
+    @pytest.mark.parametrize("n, d, tabled", [
+        (1, 2 ** 16, True), (1, 2 ** 16 + 1, False), (7, 2 ** 13, True), (7, 2 ** 13 + 1, False),
+        (12, 2340, True), (12, 2341, False), (1, 1, True), (7, 1, True), (60, 1, True),
+        (200, 50, True), (6, 800, True), (80, 30, True),
+    ])
+    def test_equals_the_literal_enumeration(self, n, d, tabled):
+        assert (sigma(n) * d <= counting._TABLE_LIMIT) == tabled
+        cs = [c for c in range(d) if gcd(c, d) == 1]
+        for c in {cs[0], cs[-1], cs[len(cs) // 2], cs[-1] - 7 * d, cs[0] + 3 * d, -cs[-1]}:
+            counting._gcd_tables.cache_clear()
+            assert multiplicity_histogram(n, c, d) == literal_histogram(n, c, d), (n, c, d)
+            assert counting._gcd_tables.cache_info().misses == tabled
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 400), st.integers(-10 ** 6, 10 ** 6), st.integers(1, 200))
+    def test_any_c_matches_the_literal_enumeration(self, n, c, d):
+        # c need not be prime to d, nor in [0, d)
+        assert multiplicity_histogram(n, c, d) == literal_histogram(n, c, d)
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (1, 7), (12, 9), (30, 7), (64, 12), (60, 36), (97, 5)])
+    def test_every_table_is_its_gcd_row(self, n, d):
+        tables = counting._gcd_tables(n, d)
+        assert len(tables) == len(divisors(n))
+        for r, (k, table) in zip(divisors(n), tables):
+            assert k == n // r
+            assert table == [gcd(x, r * d) for x in range(r * d)], (n, d, r)
+
+    def test_tables_live_for_one_block(self):
+        counting._gcd_tables.cache_clear()
+        multiplicity_histogram(12, 1, 9)
+        multiplicity_histogram(12, 2, 9)
+        assert counting._gcd_tables.cache_info()[:2] == (1, 1)  # hits, misses
+        multiplicity_histogram(12, 1, 10)
+        assert counting._gcd_tables.cache_info().currsize == 1
+
+    def test_past_the_bound_allocates_no_table(self):
+        multiplicity_histogram(12, 1, 7)  # warm-up: first-call caches
+        tracemalloc.start()
+        try:
+            hist = multiplicity_histogram(12, 1, 10 ** 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
+        assert hist == literal_histogram(12, 1, 10 ** 12)
 
 
 class TestLemma3:

@@ -5,11 +5,13 @@ to the value or the rendering of a single record shows up here, which a
 comparison of two runs of the same build cannot catch.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from fareysum import cli
+from fareysum.counting import verify_theorem2
 from fareysum.experiments import (
     B_MODE_RANDOM,
     ExperimentConfig,
@@ -83,6 +85,16 @@ def test_sweep_csv_and_stdout_match_golden(jobs, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / "sweep_n24_d8.stdout").read_bytes()
     assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / "sweep_n24_d8.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_benchmark_sweep_csv_matches_its_hash(jobs, tmp_path):
+    # the (80, 30) sweep that the counting benchmark times, too large for a
+    # committed golden: its sha256 as an earlier build wrote it
+    path = tmp_path / "sweep.csv"
+    assert verify_theorem2(80, 30, jobs=jobs, csv_path=str(path)).ok
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "31967991438c2fcb03141b552b8b94a44f1001ddb953f5d9f5aea93149f91229"
 
 
 def test_example_stdout_matches_golden(capsys):
