@@ -163,25 +163,25 @@ class SweepReport(NamedTuple):
 
 
 def _n_blocks(n: int, max_d: int) -> Iterator[tuple]:
-    """One block per d, (n, d, expected, counts): (m, formula, n/m) for each
-    m | n and (c, its brute counts in m order) for each c prime to d.  It
-    stands for tau(n) phi(d) rows, in (c, m) order, at a fraction of their size."""
+    """One block per d, (n, d, expected, cs, bad): (m, formula, n/m) for each m | n,
+    the c prime to d, and bad, which maps each c whose brute counts (in m order) are
+    not all n/m to them, or every c if the formula's are not.  It stands for
+    tau(n) phi(d) rows, in (c, m) order, and ships little more than cs."""
     divs = divisors(n)
+    closed = [n // m for m in divs]
     for d in range(1, max_d + 1):
         cs = [c for c in range(d) if gcd(c, d) == 1]
         # the formula does not depend on c, so compute it once per (n, d, m)
-        expected = [(m, count_A_formula(CountingQuery(n, m, cs[0], d)), n // m) for m in divs]
-        yield n, d, expected, [(c, list(map(multiplicity_histogram(n, c, d).__getitem__, divs)))
-                               for c in cs]
+        formula = [count_A_formula(CountingQuery(n, m, cs[0], d)) for m in divs]
+        counts = ((c, list(map(multiplicity_histogram(n, c, d).__getitem__, divs))) for c in cs)
+        bad = {c: brute for c, brute in counts if brute != closed or formula != closed}
+        yield n, d, list(zip(divs, formula, closed)), cs, bad
 
 
-def _agreed(expected: list) -> list | None:
-    """The brute counts that make a c's rows all ok: n/m per m, or None if the formula disagrees."""
-    return [k for _, _, k in expected] if all(f == k for _, f, k in expected) else None
-
-
-def _c_rows(n: int, d: int, expected: list, c: int, brute: list) -> list[tuple]:
-    """The rows of one c of a block, as plain tuples with the fields of `SweepRow`."""
+def _c_rows(n: int, d: int, expected: list, c: int, brute: list | None) -> list[tuple]:
+    """One c's rows of a block, as tuples with `SweepRow`'s fields; brute None is n/m."""
+    if brute is None:
+        brute = [k for _, _, k in expected]
     return [(n, m, d, c, b, f, k, 1 if b == f == k else 0)
             for (m, f, k), b in zip(expected, brute)]
 
@@ -197,8 +197,8 @@ def _sweep_blocks(max_n: int, max_d: int, jobs: int) -> Iterator[tuple]:
 
 def sweep_rows(max_n: int, max_d: int) -> Iterator[SweepRow]:
     """Every check row, ordered by (n, d, c, m), computed in this process."""
-    return (SweepRow._make(row) for n, d, expected, counts in _sweep_blocks(max_n, max_d, 1)
-            for c, brute in counts for row in _c_rows(n, d, expected, c, brute))
+    return (SweepRow._make(row) for n, d, expected, cs, bad in _sweep_blocks(max_n, max_d, 1)
+            for c in cs for row in _c_rows(n, d, expected, c, bad.get(c)))
 
 
 def verify_theorem2(
@@ -216,14 +216,13 @@ def verify_theorem2(
     violations: list[SweepRow] = []
 
     def checked() -> Iterator[tuple]:
-        for n, d, expected, counts in blocks:
-            closed = _agreed(expected)
-            violations.extend(SweepRow._make(row) for c, brute in counts if brute != closed
+        for n, d, expected, cs, bad in blocks:
+            violations.extend(SweepRow._make(row) for c, brute in bad.items()
                               for row in _c_rows(n, d, expected, c, brute) if not row[-1])
-            yield n, d, expected, counts
+            yield n, d, expected, cs, bad
 
     if csv_path is None:
-        rows_checked = sum(len(expected) * len(counts) for _, _, expected, counts in checked())
+        rows_checked = sum(len(expected) * len(cs) for _, _, expected, cs, _ in checked())
     else:
         rows_checked = write_sweep_csv(csv_path, checked())
     return SweepReport(max_n, max_d, rows_checked, tuple(violations))
@@ -234,20 +233,19 @@ _SWEEP_CSV_LINE = ",".join(["%d"] * len(SWEEP_CSV_HEADER)) + "\r\n"
 
 
 def write_sweep_csv(path: str, blocks: Iterable[tuple]) -> int:
-    """Stream the sweep's (n, d) blocks to CSV as their rows, ok as 1/0, in
-    csv's default dialect; returns the number of rows written."""
+    """Stream `verify_theorem2`'s private (n, d) blocks to CSV as their rows,
+    ok as 1/0, in csv's default dialect; returns the number of rows written.
+    It keeps its name only as the benchmark's `counting.csv` layer."""
     rows = 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SWEEP_CSV_HEADER) + "\r\n")
-        for n, d, expected, counts in blocks:
-            closed = _agreed(expected)
-            if closed is not None:
-                # ok rows read n,m,d,c,k,k,k,1 with k = n/m: str(c) joined into these parts
-                heads = [f"{n},{m},{d}," for m, _, _ in expected]
-                tails = [f",{k},{k},{k},1\r\n" for k in closed]
-                parts = [tail + head for tail, head in zip([""] + tails, heads + [""])]
-            fh.write("".join([str(c).join(parts) if brute == closed else
-                              "".join(map(_SWEEP_CSV_LINE.__mod__, _c_rows(n, d, expected, c, brute)))
-                              for c, brute in counts]))
-            rows += len(expected) * len(counts)
+        for n, d, expected, cs, bad in blocks:
+            # a c not in bad reads n,m,d,c,k,k,k,1 with k = n/m: str(c) joined into these parts
+            heads = [f"{n},{m},{d}," for m, _, _ in expected]
+            tails = [f",{k},{k},{k},1\r\n" for _, _, k in expected]
+            parts = [tail + head for tail, head in zip([""] + tails, heads + [""])]
+            fh.write("".join([str(c).join(parts) if c not in bad else
+                              "".join(map(_SWEEP_CSV_LINE.__mod__, _c_rows(n, d, expected, c, bad[c])))
+                              for c in cs]))
+            rows += len(expected) * len(cs)
     return rows

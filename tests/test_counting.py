@@ -299,6 +299,24 @@ class TestTheorem2Sweep:
                 with pytest.raises(ValueError, match=rf"^max_d must be an integer in \[1, 10000\], got {max_d}$"):
                     sweep(1, max_d)
 
+    def test_hooked_calls_keep_their_shape(self, monkeypatch, tmp_path):
+        # one histogram per (n, d, c), one formula per (n, d, m) and one CSV writer
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(counting, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(counting, name, wrapper)
+
+        for name in ("multiplicity_histogram", "count_A_formula", "write_sweep_csv"):
+            counted(name)
+        assert verify_theorem2(12, 9, csv_path=str(tmp_path / "sweep.csv")).ok
+        assert calls == {"multiplicity_histogram": 336, "count_A_formula": 315, "write_sweep_csv": 1}
+
 
 class TestSweepViolations:
     """The block consumer, fed a formula that is wrong for every m = 3."""

@@ -10,6 +10,7 @@ workers have started every item they were sent.
 import os
 import signal
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -176,6 +177,22 @@ class TestPoolSize:
         assert pooled.read_bytes() == serial.read_bytes() == b"".join(
             [b"n,m,d,c,brute,formula,closed_form,ok\r\n"]
             + [b"%d,%d,%d,%d,%d,%d,%d,%d\r\n" % row for row in rows])
+
+    def test_pooled_sweep_ships_less_than_its_csv(self, forks, tmp_path):
+        # a block ships only the counts of a c that disagrees, so the parent's
+        # peak stays below the CSV, which blocks that carried every c's counts exceeded
+        path = str(tmp_path / "sweep.csv")
+        counting.verify_theorem2(2, 3, jobs=2, csv_path=path)  # warm-up: imports and first-call caches
+        warm = len(forks)
+        tracemalloc.start()
+        try:
+            report = counting.verify_theorem2(4, 120, jobs=2, csv_path=path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(forks) - warm == 2
+        assert report.ok and report.rows_checked == 35088
+        assert peak < os.path.getsize(path), (peak, os.path.getsize(path))
 
     @pytest.mark.parametrize("csv", [False, True])
     def test_sweep_keeps_a_bounded_window_of_n_in_flight(self, forks, paused, csv, tmp_path):
