@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import chain, repeat
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Iterator, NamedTuple
 
 from .farey import require_reduced_c
@@ -63,8 +63,10 @@ class CountingQuery(_CountingFields):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
+@lru_cache(maxsize=1 << 12)
 def _lemma1(r: int, d: int) -> int:
-    """Lemma 1's count (r)_d phi((r)_d^perp), without `lemma1_count`'s checks."""
+    """Lemma 1's count (r)_d phi((r)_d^perp), without `lemma1_count`'s checks;
+    cached, since a sweep's formula reads the same few hundred (s, gcd(s, d')) for every n."""
     part = d_part(r, d)
     return part * euler_phi(r // part)
 
@@ -77,6 +79,15 @@ def lemma1_count(r: int, d: int, s: int) -> int:
     return _lemma1(r, d)
 
 
+@lru_cache(maxsize=1 << 12)
+def _sieve_steps(rd: int) -> tuple[int, ...]:
+    """The divisors e > 1 of r d, ascending: the steps of its gcd table's sieve.
+    A sweep builds each r d's table for many (n, d), so they are cached, by trial
+    division rather than `divisors`, whose cache would keep r d's factors too."""
+    small = [e for e in range(1, isqrt(rd) + 1) if rd % e == 0]
+    return tuple(sorted({*small, *(rd // e for e in small)}))[1:]
+
+
 @lru_cache(maxsize=1)
 def _gcd_tables(n: int, d: int) -> list[tuple[int, list[int]]]:
     """(n/r, T) for each r | n, T[x] = gcd(x, r d) for x < r d, by a divisor
@@ -85,7 +96,7 @@ def _gcd_tables(n: int, d: int) -> list[tuple[int, list[int]]]:
     tables = []
     for r in divisors(n):
         table = [1] * (r * d)
-        for e in sorted({a * b for a in divisors(r) for b in divisors(d)})[1:]:
+        for e in _sieve_steps(r * d):
             table[::e] = [e] * (r * d // e)
         tables.append((n // r, table))
     return tables
@@ -100,7 +111,7 @@ def multiplicity_histogram(n: int, c: int, d: int) -> Counter:
     require_range("d", d, 1)
     divs = divisors(n)
     if sum(divs) * d <= _TABLE_LIMIT:
-        return Counter(chain.from_iterable(table[k * c % d::d] for k, table in _gcd_tables(n, d)))
+        return Counter(chain.from_iterable([table[k * c % d::d] for k, table in _gcd_tables(n, d)]))
     return Counter(chain.from_iterable(
         map(gcd, range((n // r) * c, (n // r) * c + r * d, d), repeat(r * d)) for r in divs))
 
@@ -117,10 +128,11 @@ def count_A_formula(query: CountingQuery) -> int:
     delta = gcd(m, d)
     n1, m1, d1 = n // delta, m // delta, d // delta
     total = 0
-    # the sum's m' | r | n' as r = m' s, s | n'/m': each term is Lemma 1's count at s
+    # the sum's m' | r | n' as r = m' s, s | n'/m': each term is Lemma 1's count at s,
+    # read at (s, gcd(s, d')), since (s)_d' has only the primes of gcd(s, d')
     for s in divisors(n1 // m1):
         if gcd(n // (m1 * s), d) == delta:
-            total += _lemma1(s, d1)
+            total += _lemma1(s, gcd(s, d1))
     return total
 
 
@@ -164,17 +176,20 @@ class SweepReport(NamedTuple):
 
 def _n_blocks(n: int, max_d: int) -> Iterator[tuple]:
     """One block per d, (n, d, expected, cs, bad): (m, formula, n/m) for each m | n,
-    the c prime to d, and bad, which maps each c whose brute counts (in m order) are
-    not all n/m to them, or every c if the formula's are not.  It stands for
-    tau(n) phi(d) rows, in (c, m) order, and ships little more than cs."""
+    the c prime to d, and bad, which maps each c whose histogram is not the dict
+    {m: n/m} to its brute counts in m order, or every c if the formula's are not n/m.
+    It stands for tau(n) phi(d) rows, in (c, m) order, and ships little more than cs."""
     divs = divisors(n)
     closed = [n // m for m in divs]
+    agreed = dict(zip(divs, closed))
     for d in range(1, max_d + 1):
         cs = [c for c in range(d) if gcd(c, d) == 1]
         # the formula does not depend on c, so compute it once per (n, d, m)
         formula = [count_A_formula(CountingQuery(n, m, cs[0], d)) for m in divs]
-        counts = ((c, list(map(multiplicity_histogram(n, c, d).__getitem__, divs))) for c in cs)
-        bad = {c: brute for c, brute in counts if brute != closed or formula != closed}
+        hists = ((c, multiplicity_histogram(n, c, d)) for c in cs)
+        # dict's own comparison: a Counter's would count a zero-count key as absent
+        bad = {c: list(map(hist.__getitem__, divs)) for c, hist in hists
+               if formula != closed or agreed != hist}
         yield n, d, list(zip(divs, formula, closed)), cs, bad
 
 

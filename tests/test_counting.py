@@ -25,7 +25,7 @@ from fareysum.counting import (
     verify_lemma3,
     verify_theorem2,
 )
-from fareysum.numtheory import divisors, sigma
+from fareysum.numtheory import d_part, divisors, euler_phi, sigma
 
 
 def lemma1_brute(r: int, d: int, s: int) -> int:
@@ -212,6 +212,47 @@ class TestHistogramTables:
         assert hist == literal_histogram(12, 1, 10 ** 12)
 
 
+class TestSweepMemos:
+    """The sweep's two memos, the sieve steps per r d and Lemma 1's count per
+    (s, gcd(s, d')), hold their rules' values and stay bounded."""
+
+    GRID = [(r, d) for r in range(1, 81) for d in range(1, 31)]
+
+    def test_sieve_steps_are_the_divisors_of_r_d_past_1(self):
+        counting._sieve_steps.cache_clear()
+        for _ in range(2):  # cold, then warm
+            for r, d in self.GRID:
+                steps = counting._sieve_steps(r * d)
+                assert steps == divisors(r * d)[1:], (r, d)
+                # the rule the sieve used before: r d's divisors are the products of r's and d's
+                assert steps == tuple(sorted({a * b for a in divisors(r) for b in divisors(d)}))[1:]
+        assert counting._sieve_steps.cache_info().hits > 0
+
+    def test_lemma1_is_its_rule_at_gcd_s_d(self):
+        # (s)_d' has the primes of gcd(s, d'), so the formula's key loses nothing
+        counting._lemma1.cache_clear()
+        for _ in range(2):  # cold, then warm
+            for r, d in self.GRID:
+                part = d_part(r, d)
+                assert counting._lemma1(r, d) == part * euler_phi(r // part), (r, d)
+                assert counting._lemma1(r, gcd(r, d)) == part * euler_phi(r // part), (r, d)
+        assert counting._lemma1.cache_info().hits > 0
+        for r, d in self.GRID[::7]:
+            assert counting._lemma1(r, gcd(r, d)) == lemma1_brute(r, d, 1), (r, d)
+
+    def test_caches_stay_bounded_through_a_sweep(self, tmp_path):
+        memos = (counting._sieve_steps, counting._lemma1)
+        for memo in memos:
+            memo.cache_clear()
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+        assert verify_theorem2(80, 30, csv_path=str(cold)).ok
+        for memo in memos:
+            info = memo.cache_info()
+            assert 0 < info.currsize <= info.maxsize, (memo, info)
+        assert verify_theorem2(80, 30, csv_path=str(warm)).ok
+        assert warm.read_bytes() == cold.read_bytes()
+
+
 class TestLemma3:
     def test_small_case(self):
         assert verify_lemma3(4, 3, 6, 1, 5)
@@ -378,6 +419,28 @@ class TestSweepViolations:
 
         # at d = 3 and 4, one c of a block disagrees and the others agree
         monkeypatch.setattr(counting, "multiplicity_histogram", wrong_at_c1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_zero_count_key_changes_no_byte(self, monkeypatch, jobs, tmp_path):
+        # a histogram with a key of count 0 reads n/m at every m | n, so a
+        # comparison of those counts passes it, but it is not the dict {m: n/m}:
+        # its c goes to the block's bad map and is rendered row by row, to the same bytes
+        clean, path = tmp_path / "clean.csv", tmp_path / "sweep.csv"
+        expected = verify_theorem2(self.MAX_N, self.MAX_D, jobs=jobs, csv_path=str(clean))
+        histogram = counting.multiplicity_histogram
+
+        def with_a_zero_key(n, c, d):
+            hist = histogram(n, c, d)
+            hist[0] = 0  # no gcd is 0
+            return hist
+
+        monkeypatch.setattr(counting, "multiplicity_histogram", with_a_zero_key)
+        for n in range(1, self.MAX_N + 1):
+            for _, d, expected_m, cs, bad in counting._n_blocks(n, self.MAX_D):
+                assert bad == {c: [k for _, _, k in expected_m] for c in cs}, (n, d)
+        report = verify_theorem2(self.MAX_N, self.MAX_D, jobs=jobs, csv_path=str(path))
+        assert report == expected and report.violations == ()
+        assert path.read_bytes() == clean.read_bytes()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("patch", ["wrong_for_m3", "histogram_wrong_for_m3"])
