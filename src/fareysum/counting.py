@@ -15,8 +15,8 @@ The brute route reads one gcd for each of the sigma(n) pairs, so it stays
 independent of Lemma 1.  For r | n, the (n/r) c + j d (j < r) are the
 residues t + j' d mod r d (j' < r, t = (n/r) c mod d) in another order, so
 their gcds with r d are T[t::d] of T[x] = gcd(x, r d), built by a divisor
-sieve (T[::e] = e for each e | r d, ascending) while the (n, d) block's
-sigma(n) d entries stay within _TABLE_LIMIT.
+sieve (T[::e] = e for each e | r d, ascending, from numtheory's cached
+`divisors`) while the (n, d) block's sigma(n) d entries stay within _TABLE_LIMIT.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import chain, repeat
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
 from .farey import require_reduced_c
@@ -79,24 +79,16 @@ def lemma1_count(r: int, d: int, s: int) -> int:
     return _lemma1(r, d)
 
 
-@lru_cache(maxsize=1 << 12)
-def _sieve_steps(rd: int) -> tuple[int, ...]:
-    """The divisors e > 1 of r d, ascending: the steps of its gcd table's sieve.
-    A sweep builds each r d's table for many (n, d), so they are cached, by trial
-    division rather than `divisors`, whose cache would keep r d's factors too."""
-    small = [e for e in range(1, isqrt(rd) + 1) if rd % e == 0]
-    return tuple(sorted({*small, *(rd // e for e in small)}))[1:]
-
-
 @lru_cache(maxsize=1)
 def _gcd_tables(n: int, d: int) -> list[tuple[int, list[int]]]:
     """(n/r, T) for each r | n, T[x] = gcd(x, r d) for x < r d, by a divisor
-    sieve: the last e | r d written at x is the largest that divides x.  One
-    (n, d) block's tables are kept; the next block's evict them."""
+    sieve over numtheory's cached divisors e > 1 of r d, ascending: the last e
+    written at x is the largest that divides x.  One (n, d) block's tables are
+    kept; the next block's evict them."""
     tables = []
     for r in divisors(n):
         table = [1] * (r * d)
-        for e in _sieve_steps(r * d):
+        for e in divisors(r * d)[1:]:
             table[::e] = [e] * (r * d // e)
         tables.append((n // r, table))
     return tables

@@ -254,6 +254,8 @@ def run_scan(config: ExperimentConfig, jobs: int = 1) -> ScanReport:
 
 
 SCAN_CSV_HEADER = "b,c,a,ruled_out,m1,m2"
+# lines or records a report writer joins into one write, so that it never holds the whole text
+_WRITE_BATCH = 1024
 
 
 def _decimals(rec: ScanRecord) -> tuple[str | None, str | None]:
@@ -263,23 +265,25 @@ def _decimals(rec: ScanRecord) -> tuple[str | None, str | None]:
     return format_decimal(rec.m1), format_decimal(rec.m2)
 
 
-def scan_csv_lines(report: ScanReport) -> list[str]:
+def scan_csv_lines(report: ScanReport) -> Iterator[str]:
     """CSV lines: header, records in (c, b) order, then `#agg,` footer rows
     (c, retained, ruled_out, then the four percentages at one decimal)."""
-    lines = [SCAN_CSV_HEADER]
+    yield SCAN_CSV_HEADER
     for rec in report.records:
         a = "" if rec.a is None else str(rec.a)
         m1, m2 = _decimals(rec)
-        lines.append(f"{rec.b},{rec.c},{a},{rec.ruled_out_reason},{m1 or ''},{m2 or ''}")
+        yield f"{rec.b},{rec.c},{a},{rec.ruled_out_reason},{m1 or ''},{m2 or ''}"
     for agg in report.aggregates:
         shares = ",".join(s or "" for s in agg.shares())
-        lines.append(f"#agg,{agg.c},{agg.retained},{agg.ruled_out},{shares}")
-    return lines
+        yield f"#agg,{agg.c},{agg.retained},{agg.ruled_out},{shares}"
 
 
 def write_scan_csv(report: ScanReport, path: str) -> None:
+    """`scan_csv_lines`, each line ending in a newline, written in batches."""
+    lines = scan_csv_lines(report)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(scan_csv_lines(report)) + "\n")
+        while batch := list(islice(lines, _WRITE_BATCH)):
+            fh.write("\n".join(batch) + "\n")
 
 
 def _rendered(rec: ScanRecord) -> dict:
@@ -325,8 +329,8 @@ def write_scan_json(report: ScanReport, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(head[:-2] + ',\n  "records": [')
         separator = "\n"
-        # in batches, so that the writer never holds the whole text; no record's text is empty
-        while batch := ",\n".join(islice(records, 1024)):
+        # no record's text is empty, so an empty batch ends the records
+        while batch := ",\n".join(islice(records, _WRITE_BATCH)):
             fh.write(separator + batch)
             separator = ",\n"
         fh.write("\n  ]\n}\n" if report.records else "]\n}\n")

@@ -84,10 +84,11 @@ def sigma(n: int) -> int:
 
 @lru_cache(maxsize=1 << 14)
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending.  Cached, and a tuple so that no
-    caller can change the value every later caller gets; the cache covers
-    every n up to the sweep's and the decomposition's limit of 10^4."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [q * p ** k for q in divs for k in range(e + 1)]
-    return tuple(sorted(divs))
+    """All positive divisors of n, ascending, by trial division: those up to
+    sqrt(n), then their cofactors, so `factorize`'s cache keeps nothing of n.
+    Cached, and a tuple so that no caller can change the value every later
+    caller gets; the decomposition and the sweep read it at n, the sweep's gcd
+    sieve at each r d, all up to their limit of 10^4."""
+    require_range("n", n, 1)
+    small = [e for e in range(1, math.isqrt(n) + 1) if n % e == 0]
+    return tuple(small + [n // e for e in reversed(small) if e * e != n])

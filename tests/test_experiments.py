@@ -345,9 +345,8 @@ class TestScan:
         agg = report.aggregates[0]
         assert agg.retained == agg.ruled_out == 0
         assert agg.percent(agg.m1_lt_t1_lo) is None
-        lines = scan_csv_lines(report)
-        assert lines[0] == "b,c,a,ruled_out,m1,m2"
-        assert lines[1] == "#agg,1,0,0,,,,"
+        lines = list(scan_csv_lines(report))
+        assert lines == ["b,c,a,ruled_out,m1,m2", "#agg,1,0,0,,,,"]
 
     def test_records_ordered_by_c_then_b(self):
         cfg = ExperimentConfig(n=12, d=9, c_list=(2, 1), b_start=10 ** 7 + 1, b_count=5)
@@ -492,10 +491,29 @@ class TestReports:
             tracemalloc.stop()
         assert write_peak - dict_peak < path.stat().st_size // 2
 
+    def test_csv_is_streamed(self, tmp_path):
+        # as the JSON writer: the CSV writer's peak stays under a quarter of
+        # the file, which a writer that joined every line would exceed
+        cfg = ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=10 ** 8 + 1, b_count=10)
+        report = run_scan(cfg)
+        report = report._replace(records=report.records * 1000)
+        path = tmp_path / "report.csv"
+        write_scan_csv(report, str(path))  # warm-up: first-call caches
+        tracemalloc.start()
+        try:
+            write_scan_csv(report, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size // 4, (peak, path.stat().st_size)
+        # one bool, not pytest's diff of two 20,000-line texts
+        same = path.read_text() == "".join(f"{line}\n" for line in scan_csv_lines(report))
+        assert same, "the batched file is not the lines of scan_csv_lines, each ending in a newline"
+
     def test_csv_layout(self):
         cfg = ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10 ** 8 + 1, b_count=8)
         report = run_scan(cfg)
-        lines = scan_csv_lines(report)
+        lines = list(scan_csv_lines(report))
         assert lines[0] == "b,c,a,ruled_out,m1,m2"
         data = [l for l in lines[1:] if not l.startswith("#agg,")]
         footer = [l for l in lines[1:] if l.startswith("#agg,")]

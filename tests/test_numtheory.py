@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic and multiplicative-function layer."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
@@ -124,6 +125,29 @@ class TestMultiplicativeFunctions:
     def test_divisors_brute_force(self):
         for n in range(1, 200):
             assert divisors(n) == tuple(k for k in range(1, n + 1) if n % k == 0)
+
+    def test_divisors_of_the_sweep_sieve_grid(self):
+        # the Theorem 2 sweep sieves each gcd table with divisors(r * d)[1:],
+        # r <= 80, d <= 30; the oracle is a sieve of every k's divisors
+        grid = [(r, d) for r in range(1, 81) for d in range(1, 31)]
+        limit = 80 * 30
+        brute = [[] for _ in range(limit + 1)]
+        for e in range(1, limit + 1):
+            for k in range(e, limit + 1, e):
+                brute[k].append(e)
+        divisors.cache_clear()
+        for _ in range(2):  # cold, then warm
+            for r, d in grid:
+                divs = divisors(r * d)
+                assert divs == tuple(brute[r * d]), (r, d)
+                # r d's divisors are the products of r's and d's
+                assert divs == tuple(sorted({a * b for a in divisors(r) for b in divisors(d)})), (r, d)
+        assert divisors.cache_info().hits > 0
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0])
+    def test_divisors_refuses_what_is_not_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 1, got {n!r}")):
+            divisors(n)
 
     def test_cached_divisors_cannot_be_changed(self):
         first = divisors(36)
