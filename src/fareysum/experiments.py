@@ -17,7 +17,7 @@ from __future__ import annotations
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import gcd, isqrt
 from operator import add
 from typing import Iterator, NamedTuple
@@ -254,8 +254,6 @@ def run_scan(config: ExperimentConfig, jobs: int = 1) -> ScanReport:
 
 
 SCAN_CSV_HEADER = "b,c,a,ruled_out,m1,m2"
-# lines or records a report writer joins into one write, so that it never holds the whole text
-_WRITE_BATCH = 1024
 
 
 def _decimals(rec: ScanRecord) -> tuple[str | None, str | None]:
@@ -279,11 +277,9 @@ def scan_csv_lines(report: ScanReport) -> Iterator[str]:
 
 
 def write_scan_csv(report: ScanReport, path: str) -> None:
-    """`scan_csv_lines`, each line ending in a newline, written in batches."""
-    lines = scan_csv_lines(report)
+    """`scan_csv_lines`, each line ending in a newline, streamed through the file's buffer."""
     with open(path, "w", newline="") as fh:
-        while batch := list(islice(lines, _WRITE_BATCH)):
-            fh.write("\n".join(batch) + "\n")
+        fh.writelines(f"{line}\n" for line in scan_csv_lines(report))
 
 
 def _rendered(rec: ScanRecord) -> dict:
@@ -326,13 +322,9 @@ def write_scan_json(report: ScanReport, path: str) -> None:
     template = "    {{\n" + ",\n".join(
         f"      {quote(key)}: {{{fields.index(key)}}}" for key in sorted(fields)) + "\n    }}"
     records = (template.format(*map(value, _rendered(rec).values())) for rec in report.records)
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(head[:-2] + ',\n  "records": [')
-        separator = "\n"
-        # no record's text is empty, so an empty batch ends the records
-        while batch := ",\n".join(islice(records, _WRITE_BATCH)):
-            fh.write(separator + batch)
-            separator = ",\n"
+        fh.writelines(map(str.__add__, chain(["\n"], repeat(",\n")), records))
         fh.write("\n  ]\n}\n" if report.records else "]\n}\n")
 
 

@@ -474,7 +474,8 @@ class TestReports:
 
     def test_json_is_streamed(self, tmp_path):
         # the writer never holds the whole text: past the dict it renders, its
-        # peak stays under half the file, however many records there are
+        # peak stays under half the file, however many records there are, and
+        # under a fixed 64 KB, which holding every record's text would exceed
         cfg = ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=10 ** 8 + 1, b_count=10)
         report = run_scan(cfg)
         report = report._replace(records=report.records * 100)
@@ -490,10 +491,12 @@ class TestReports:
         finally:
             tracemalloc.stop()
         assert write_peak - dict_peak < path.stat().st_size // 2
+        assert write_peak < 64 * 1024, write_peak
 
     def test_csv_is_streamed(self, tmp_path):
         # as the JSON writer: the CSV writer's peak stays under a quarter of
-        # the file, which a writer that joined every line would exceed
+        # the file, which a writer that joined every line would exceed, and
+        # under a fixed 64 KB, which a writer holding a thousand lines at once exceeds
         cfg = ExperimentConfig(n=12, d=9, c_list=(1, 2), b_start=10 ** 8 + 1, b_count=10)
         report = run_scan(cfg)
         report = report._replace(records=report.records * 1000)
@@ -506,9 +509,10 @@ class TestReports:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size // 4, (peak, path.stat().st_size)
+        assert peak < 64 * 1024, peak
         # one bool, not pytest's diff of two 20,000-line texts
         same = path.read_text() == "".join(f"{line}\n" for line in scan_csv_lines(report))
-        assert same, "the batched file is not the lines of scan_csv_lines, each ending in a newline"
+        assert same, "the written file is not the lines of scan_csv_lines, each ending in a newline"
 
     def test_csv_layout(self):
         cfg = ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10 ** 8 + 1, b_count=8)

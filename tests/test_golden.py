@@ -6,11 +6,12 @@ comparison of two runs of the same build cannot catch.
 """
 
 import hashlib
+import inspect
 from pathlib import Path
 
 import pytest
 
-from fareysum import cli
+from fareysum import cli, counting, experiments
 from fareysum.counting import verify_theorem2
 from fareysum.experiments import (
     B_MODE_RANDOM,
@@ -55,6 +56,29 @@ def test_scan_reports_match_golden(name, jobs, tmp_path):
     write_scan_json(report, str(json_path))
     assert csv_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
     assert json_path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _tiny_report():
+    return run_scan(ExperimentConfig(n=12, d=9, c_list=(1,), b_start=10 ** 8 + 1, b_count=2))
+
+
+@pytest.mark.parametrize("module, write", [
+    pytest.param(experiments, lambda path: write_scan_csv(_tiny_report(), path), id="write_scan_csv"),
+    pytest.param(experiments, lambda path: write_scan_json(_tiny_report(), path), id="write_scan_json"),
+    pytest.param(counting, lambda path: counting.write_sweep_csv(path, ()), id="write_sweep_csv"),
+])
+def test_reports_are_opened_with_newline_empty(module, write, tmp_path, monkeypatch):
+    # newline=None would have the text layer write the platform's line ending
+    # for each "\n", and the goldens hold "\n" (scan reports) and "\r\n" (sweep)
+    newlines = []
+
+    def spy(*args, **kwargs):
+        newlines.append(inspect.signature(open).bind(*args, **kwargs).arguments.get("newline"))
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(module, "open", spy, raising=False)
+    write(str(tmp_path / "report"))
+    assert newlines == [""]
 
 
 @pytest.mark.parametrize("exponent", [8, 9])
